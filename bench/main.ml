@@ -11,9 +11,11 @@
     timing); pass [--json FILE] to also write the machine-readable
     summary as JSON for perf-trajectory tracking; pass [--smoke] for
     the <60s artificial-suite CI sweep ([dune build @smoke] runs it and
-    diffs the JSON against the committed expectations). *)
+    diffs the JSON against the committed expectations). [--help] lists
+    every flag. *)
 
 module Experiments = Stagg_report.Experiments
+module Method_flags = Stagg_cmdline.Method_flags
 
 let representative name =
   match Stagg_benchsuite.Suite.find name with
@@ -185,7 +187,7 @@ let strip_schema_version src dst =
   close_in ic;
   close_out oc
 
-let run_smoke ~json_file ~heap_ceiling ~tune () =
+let run_smoke ~json_file ~frontier_ceiling ~tune () =
   let benches = Stagg_benchsuite.Suite.artificial in
   let t0 = Unix.gettimeofday () in
   let rows =
@@ -207,18 +209,27 @@ let run_smoke ~json_file ~heap_ceiling ~tune () =
       output_string oc (smoke_json rows);
       close_out oc;
       Printf.eprintf "[bench] wrote %s\n%!" file);
-  (* memory regression gate: the process-lifetime major-heap high-water
-     mark must stay under the recorded ceiling. Reported on stderr (and
-     asserted), never in the byte-diffed JSON — heap words are
-     deterministic for a given runtime build but not across them. *)
-  match heap_ceiling with
+  (* memory regression gate: the frontier high-water marks of the
+     sweep's searches, summed, must stay under the recorded ceiling. The
+     frontier is what a search retains, and each high-water mark is a
+     function of the pop sequence alone, so the gate reads the same
+     value on every run and runtime. (The single largest mark cannot
+     serve: the heaviest searches stop at the frontier cap whether or
+     not pruning is on.) Reported on stderr (and asserted), never in the
+     byte-diffed JSON. *)
+  match frontier_ceiling with
   | None -> ()
   | Some ceiling ->
-      let peak = (Gc.quick_stat ()).Gc.top_heap_words in
-      Printf.eprintf "[bench] peak heap: %d words (ceiling %d)\n%!" peak ceiling;
-      if peak > ceiling then begin
-        Printf.eprintf "[bench] FAIL: smoke peak heap %d words exceeds ceiling %d\n%!" peak
-          ceiling;
+      let total =
+        List.fold_left
+          (fun acc (_, rs) ->
+            List.fold_left (fun a (r : Stagg.Result_.t) -> a + r.frontier_peak) acc rs)
+          0 rows
+      in
+      Printf.eprintf "[bench] frontier peaks: %d entries (ceiling %d)\n%!" total ceiling;
+      if total > ceiling then begin
+        Printf.eprintf "[bench] FAIL: smoke frontier peaks %d entries exceed ceiling %d\n%!"
+          total ceiling;
         exit 1
       end
 
@@ -467,186 +478,15 @@ let run_serve_load ~jobs ~json_file () =
     exit 1
   end
 
-let usage () =
-  prerr_endline
-    "usage: main.exe [--smoke] [--serve-smoke] [--serve-load] [--skip-ablations] \
-     [--skip-bechamel] [--no-analysis] \
-     [--prune-mode off|replay|admission] [--batched-validate off|on] \
-     [--oracle llm|trace|trace+llm] [--search-domains K|auto] [--heap-ceiling WORDS] \
-     [--jobs N | -j N] [--json FILE] | --strip-schema-version SRC DST";
-  exit 2
-
-let () =
-  (* utility mode used by the @smoke alias; no campaign setup *)
-  (match Sys.argv with
-  | [| _; "--strip-schema-version"; src; dst |] ->
-      strip_schema_version src dst;
-      exit 0
-  | _ -> ());
-  (* The campaign's hot loops (A* frontier, validation memo) allocate
-     heavily against a large live heap; the default space_overhead of 120
-     spends ~20% of search wall time in major-GC marking. Trading memory
-     for time is the right call on a benchmark harness. *)
-  Gc.set { (Gc.get ()) with Gc.space_overhead = 480 };
-  let args = List.tl (Array.to_list Sys.argv) in
-  let skip_ablations = ref false
-  and skip_bechamel = ref false
-  and smoke = ref false
-  and serve_smoke = ref false
-  and serve_load = ref false
-  and analysis = ref true
-  and prune_mode = ref Stagg_search.Astar.Prune_admission
-  and batched_validate = ref true
-  and oracle = ref Stagg.Method_.Oracle_llm
-  and search_domains = ref 1
-  and heap_ceiling = ref None
-  and jobs = ref (Stagg_util.Pool.default_jobs ())
-  and json_file = ref None in
-  let rec parse = function
-    | [] -> ()
-    | "--smoke" :: rest ->
-        smoke := true;
-        parse rest
-    | "--serve-smoke" :: rest ->
-        serve_smoke := true;
-        parse rest
-    | "--serve-load" :: rest ->
-        serve_load := true;
-        parse rest
-    | "--skip-ablations" :: rest ->
-        skip_ablations := true;
-        parse rest
-    | "--skip-bechamel" :: rest ->
-        skip_bechamel := true;
-        parse rest
-    | "--no-analysis" :: rest ->
-        analysis := false;
-        parse rest
-    | "--prune-mode" :: mode :: rest ->
-        (* [off] = the --no-analysis differential baseline; [replay] keeps
-           doomed children on the frontier as tree-less replay items;
-           [admission] (default) never enqueues them *)
-        (match mode with
-        | "off" -> analysis := false
-        | "replay" -> prune_mode := Stagg_search.Astar.Prune_replay
-        | "admission" -> prune_mode := Stagg_search.Astar.Prune_admission
-        | m ->
-            Printf.eprintf "--prune-mode expects off|replay|admission, got %s\n" m;
-            usage ());
-        parse rest
-    | "--batched-validate" :: mode :: rest ->
-        (* [off] = per-candidate instantiate+compile (the differential
-           baseline); results are byte-identical either way, only
-           validate-phase time moves *)
-        (match mode with
-        | "on" -> batched_validate := true
-        | "off" -> batched_validate := false
-        | m ->
-            Printf.eprintf "--batched-validate expects off|on, got %s\n" m;
-            usage ());
-        parse rest
-    | "--oracle" :: name :: rest ->
-        (* candidate source for the smoke methods: [llm] (default — a run
-           with an explicit [--oracle llm] is byte-identical to one
-           without the flag), [trace] (no LLM in the loop; the fourth
-           @smoke leg diffs it against smoke_expected_trace.json), or
-           [trace+llm]. The full campaign always carries its own
-           Trace/Trace+LLM rows, so the flag only steers --smoke. *)
-        (match Stagg.Method_.oracle_of_string name with
-        | Some o -> oracle := o
-        | None ->
-            Printf.eprintf "--oracle expects llm|trace|trace+llm, got %s\n" name;
-            usage ());
-        parse rest
-    | "--search-domains" :: k :: rest -> (
-        (* K domains for the deterministic parallel A* inside each search
-           (1 = sequential engine, the default); outcomes are
-           byte-identical for every K — the @smoke alias diffs a K=2 run
-           against the same expectations. [auto] takes whatever the Pool
-           budget grants. *)
-        match k with
-        | "auto" ->
-            search_domains := 0;
-            parse rest
-        | _ -> (
-            match int_of_string_opt k with
-            | Some n when n >= 1 ->
-                search_domains := n;
-                parse rest
-            | _ ->
-                Printf.eprintf "--search-domains expects a positive integer or auto, got %s\n" k;
-                usage ()))
-    | "--heap-ceiling" :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            heap_ceiling := Some n;
-            parse rest
-        | _ ->
-            Printf.eprintf "--heap-ceiling expects a positive word count, got %s\n" n;
-            usage ())
-    | ("--jobs" | "-j") :: n :: rest -> (
-        match int_of_string_opt n with
-        | Some n when n >= 1 ->
-            jobs := n;
-            parse rest
-        | _ ->
-            Printf.eprintf "--jobs expects a positive integer, got %s\n" n;
-            usage ())
-    | "--json" :: file :: rest ->
-        json_file := Some file;
-        parse rest
-    | [ (("--jobs" | "-j" | "--json" | "--prune-mode" | "--batched-validate"
-         | "--oracle" | "--search-domains" | "--heap-ceiling")
-        as flag) ] ->
-        Printf.eprintf "%s expects a value\n" flag;
-        usage ()
-    | arg :: _ ->
-        Printf.eprintf "unknown argument %s\n" arg;
-        usage ()
-  in
-  parse args;
-  if !serve_smoke then begin
-    run_serve_smoke ~jobs:!jobs ~json_file:!json_file ();
-    exit 0
-  end;
-  if !serve_load then begin
-    run_serve_load ~jobs:!jobs ~json_file:!json_file ();
-    exit 0
-  end;
-  if !smoke then begin
-    let analysis = !analysis
-    and prune_mode = !prune_mode
-    and batched = !batched_validate
-    and oracle = !oracle
-    and search_domains = !search_domains in
-    let tune (m : Stagg.Method_.t) =
-      Stagg.Method_.with_oracle
-        (Stagg.Method_.with_search_domains
-           (Stagg.Method_.with_batched_validate
-              (Stagg.Method_.with_prune_mode { m with analysis } prune_mode)
-              batched)
-           search_domains)
-        oracle
-    in
-    run_smoke ~json_file:!json_file ~heap_ceiling:!heap_ceiling ~tune ();
-    exit 0
-  end;
-  let skip_ablations = !skip_ablations
-  and skip_bechamel = !skip_bechamel
-  and analysis = !analysis
-  and prune_mode = !prune_mode
-  and batched_validate = !batched_validate
-  and search_domains = !search_domains
-  and jobs = !jobs in
+(* [--oracle] steers only --smoke: the campaign carries its own Trace and
+   Trace+LLM rows. *)
+let run_campaign ~skip_ablations ~skip_bechamel ~(flags : Method_flags.t) ~jobs ~json_file =
+  let analysis = flags.analysis and batched_validate = flags.batched_validate in
   let progress msg = Printf.eprintf "[bench] %s\n%!" msg in
   let t0 = Unix.gettimeofday () in
   let runs =
-    if skip_ablations then
-      Experiments.run_core ~progress ~jobs ~analysis ~prune_mode ~batched_validate
-        ~search_domains ()
-    else
-      Experiments.run_all ~progress ~jobs ~analysis ~prune_mode ~batched_validate
-        ~search_domains ()
+    if skip_ablations then Experiments.run_core ~progress ~jobs ~analysis ~batched_validate ()
+    else Experiments.run_all ~progress ~jobs ~analysis ~batched_validate ()
   in
   Printf.printf "Guided Tensor Lifting — experiment harness (suite of %d queries, seed %d%s)\n\n"
     (List.length Stagg_benchsuite.Suite.all)
@@ -673,7 +513,7 @@ let () =
   print_string (Experiments.summary runs);
   let wall_s = Unix.gettimeofday () -. t0 in
   Printf.printf "\ntotal harness time: %.1fs\n" wall_s;
-  (match !json_file with
+  (match json_file with
   | None -> ()
   | Some file ->
       let oc = open_out file in
@@ -681,3 +521,73 @@ let () =
       close_out oc;
       Printf.eprintf "[bench] wrote %s\n%!" file);
   if not skip_bechamel then run_bechamel ~jobs ()
+
+let main smoke serve_smoke serve_load skip_ablations skip_bechamel flags frontier_ceiling jobs
+    json_file =
+  if serve_smoke then run_serve_smoke ~jobs ~json_file ()
+  else if serve_load then run_serve_load ~jobs ~json_file ()
+  else if smoke then run_smoke ~json_file ~frontier_ceiling ~tune:(Method_flags.apply flags) ()
+  else run_campaign ~skip_ablations ~skip_bechamel ~flags ~jobs ~json_file
+
+let positive_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %s" s))
+  in
+  Cmdliner.Arg.conv (parse, Format.pp_print_int)
+
+let cmd =
+  let open Cmdliner in
+  let flag names doc = Arg.(value & flag & info names ~doc) in
+  let term =
+    Term.(
+      const main
+      $ flag [ "smoke" ] "Run the <60s artificial-suite sweep behind $(b,dune build @smoke)."
+      $ flag [ "serve-smoke" ] "Replay the deterministic serve request mix, cold then warm."
+      $ flag [ "serve-load" ]
+          "Replay the full suite twice through a server and check it against the direct \
+           pipeline."
+      $ flag [ "skip-ablations" ] "Only Table 1 and Figures 9–10."
+      $ flag [ "skip-bechamel" ] "Skip the micro-benchmark pass."
+      $ Method_flags.term
+      $ Arg.(
+          value
+          & opt (some positive_int) None
+          & info [ "frontier-ceiling" ] ~docv:"ENTRIES"
+              ~doc:
+                "With $(b,--smoke): fail when the frontier high-water marks of the sweep's \
+                 searches sum to more than $(docv) entries.")
+      $ Arg.(
+          value
+          & opt positive_int (Stagg_util.Pool.default_jobs ())
+          & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Run the sweeps on a pool of $(docv) domains.")
+      $ Arg.(
+          value
+          & opt (some string) None
+          & info [ "json" ] ~docv:"FILE" ~doc:"Also write the machine-readable summary to $(docv)."))
+  in
+  Cmd.v
+    (Cmd.info "main.exe" ~doc:"Regenerate the paper's evaluation and run the CI sweeps."
+       ~man:
+         [
+           `S Manpage.s_description;
+           `P
+             "$(b,main.exe --strip-schema-version SRC DST) copies SRC to DST minus its \
+              schema_version line (the @smoke alias normalizes summaries with it).";
+         ])
+    term
+
+let () =
+  (* utility mode used by the @smoke alias; no campaign setup *)
+  (match Sys.argv with
+  | [| _; "--strip-schema-version"; src; dst |] ->
+      strip_schema_version src dst;
+      exit 0
+  | _ -> ());
+  (* The campaign's hot loops (A* frontier, validation memo) allocate
+     heavily against a large live heap; the default space_overhead of 120
+     spends ~20% of search wall time in major-GC marking. Trading memory
+     for time is the right call on a benchmark harness. *)
+  Gc.set { (Gc.get ()) with Gc.space_overhead = 480 };
+  exit (Cmdliner.Cmd.eval cmd)

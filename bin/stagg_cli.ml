@@ -63,111 +63,12 @@ let method_arg =
           "Search method: td, bu, td-equal, td-llm-grammar, td-full-grammar, bu-equal, ..., \
            trace, trace+llm")
 
-let no_analysis_arg =
-  Arg.(
-    value & flag
-    & info [ "no-analysis" ]
-        ~doc:
-          "Disable the static liftability analysis (fail-fast and search pruning). \
-           Solved/attempt outcomes are byte-identical either way; this is the \
-           differential-testing baseline.")
-
-let with_analysis no_analysis m = if no_analysis then Stagg.Method_.without_analysis m else m
-
-let prune_mode_arg =
-  Arg.(
-    value
-    & opt string "admission"
-    & info [ "prune-mode" ] ~docv:"MODE"
-        ~doc:
-          "How the analysis prune absorbs provably-doomed templates: $(b,admission) (default) \
-           never enqueues them, $(b,replay) keeps them on the frontier as tree-less replay \
-           items, $(b,off) disables the analysis entirely (alias of $(b,--no-analysis)). \
-           Solved/attempt outcomes are byte-identical across all three.")
-
-let with_prune_mode mode m =
-  match mode with
-  | "admission" -> Stagg.Method_.with_prune_mode m Stagg_search.Astar.Prune_admission
-  | "replay" -> Stagg.Method_.with_prune_mode m Stagg_search.Astar.Prune_replay
-  | "off" -> Stagg.Method_.without_analysis m
-  | s ->
-      Printf.eprintf "unknown prune mode %s (expected off|replay|admission)\n" s;
-      exit 2
-
-let batched_validate_arg =
-  Arg.(
-    value
-    & opt string "on"
-    & info [ "batched-validate" ] ~docv:"MODE"
-        ~doc:
-          "Template-level compilation in the validator: $(b,on) (default) compiles each \
-           template once and rebinds per substitution, $(b,off) falls back to per-candidate \
-           instantiate+compile. Solutions and instantiation counts are byte-identical either \
-           way; $(b,off) is the differential baseline.")
-
-let with_batched_validate mode m =
-  match mode with
-  | "on" -> m
-  | "off" -> Stagg.Method_.with_batched_validate m false
-  | s ->
-      Printf.eprintf "unknown batched-validate mode %s (expected off|on)\n" s;
-      exit 2
-
-let oracle_arg =
-  Arg.(
-    value
-    & opt string "default"
-    & info [ "oracle" ] ~docv:"ORACLE"
-        ~doc:
-          "Candidate source: $(b,llm) (the paper's pipeline), $(b,trace) (templates extracted \
-           from the kernel's own execution trace — no LLM in the loop), or $(b,trace+llm) \
-           (union). $(b,default) keeps the method's own oracle (the $(b,trace)/$(b,trace+llm) \
-           methods carry theirs; everything else is $(b,llm)). A run with an explicit \
-           $(b,--oracle llm) is byte-identical to one without the flag.")
-
-let with_oracle name m =
-  match name with
-  | "default" -> m
-  | _ -> (
-      match Stagg.Method_.oracle_of_string name with
-      | Some o -> Stagg.Method_.with_oracle m o
-      | None ->
-          Printf.eprintf "unknown oracle %s (expected llm|trace|trace+llm)\n" name;
-          exit 2)
-
-let search_domains_arg =
-  Arg.(
-    value
-    & opt string "1"
-    & info [ "search-domains" ] ~docv:"K"
-        ~doc:
-          "Run each A* search on the deterministic parallel engine with $(docv) domains \
-           ($(b,1), the default, is the sequential engine; $(b,auto) takes whatever the \
-           domain budget grants). Outcomes — solved, attempts, expansions, first solutions \
-           — are byte-identical for every $(docv); only wall-clock time moves.")
-
-let with_search_domains k m =
-  match k with
-  | "1" -> m
-  | "auto" -> Stagg.Method_.with_search_domains m 0
-  | _ -> (
-      match int_of_string_opt k with
-      | Some n when n >= 1 -> Stagg.Method_.with_search_domains m n
-      | _ ->
-          Printf.eprintf "unknown search-domains value %s (expected a positive integer or auto)\n" k;
-          exit 2)
+module Method_flags = Stagg_cmdline.Method_flags
 
 let lift_cmd =
-  let run name meth no_analysis prune_mode batched_validate search_domains oracle =
+  let run name meth flags =
     let b = find_bench_exn name in
-    let r =
-      Stagg.Pipeline.run
-        (with_oracle oracle
-           (with_search_domains search_domains
-              (with_batched_validate batched_validate
-                 (with_prune_mode prune_mode (with_analysis no_analysis (method_of_string meth))))))
-        b
-    in
+    let r = Stagg.Pipeline.run (Method_flags.apply flags (method_of_string meth)) b in
     Format.printf "%a@." Stagg.Result_.pp r;
     (match r.solution with
     | Some sol ->
@@ -178,9 +79,7 @@ let lift_cmd =
   in
   Cmd.v
     (Cmd.info "lift" ~doc:"Lift one benchmark to TACO and print the verified solution.")
-    Term.(
-      const run $ name_arg $ method_arg $ no_analysis_arg $ prune_mode_arg
-      $ batched_validate_arg $ search_domains_arg $ oracle_arg)
+    Term.(const run $ name_arg $ method_arg $ Method_flags.term)
 
 (* ---- show ---- *)
 
@@ -274,15 +173,8 @@ let jobs_arg =
            $(docv) (modulo per-query times); 1 runs sequentially on the calling domain.")
 
 let suite_cmd =
-  let run meth jobs no_analysis prune_mode batched_validate search_domains oracle =
-    let batched =
-      match batched_validate with
-      | "on" -> true
-      | "off" -> false
-      | s ->
-          Printf.eprintf "unknown batched-validate mode %s (expected off|on)\n" s;
-          exit 2
-    in
+  let run meth jobs (flags : Method_flags.t) =
+    let batched = flags.batched_validate in
     let results =
       match meth with
       | "llm" ->
@@ -296,12 +188,7 @@ let suite_cmd =
           Stagg_baselines.Tenspiler.run_suite ~jobs ~batched_validate:batched ~seed:20250604
             Suite.real_world
       | m ->
-          Stagg.Pipeline.run_suite ~jobs
-            (with_oracle oracle
-               (with_search_domains search_domains
-                  (with_batched_validate batched_validate
-                     (with_prune_mode prune_mode (with_analysis no_analysis (method_of_string m))))))
-            Suite.all
+          Stagg.Pipeline.run_suite ~jobs (Method_flags.apply flags (method_of_string m)) Suite.all
     in
     List.iter (fun r -> Format.printf "%a@." Stagg.Result_.pp r) results;
     let solved = List.filter (fun r -> r.Stagg.Result_.solved) results in
@@ -309,9 +196,7 @@ let suite_cmd =
   in
   Cmd.v
     (Cmd.info "suite" ~doc:"Run one method over the whole suite and print per-query results.")
-    Term.(
-      const run $ method_arg $ jobs_arg $ no_analysis_arg $ prune_mode_arg
-      $ batched_validate_arg $ search_domains_arg $ oracle_arg)
+    Term.(const run $ method_arg $ jobs_arg $ Method_flags.term)
 
 (* ---- lift-file: arbitrary C + signature spec + recorded LLM transcript ---- *)
 

@@ -51,14 +51,13 @@ let run ~seed ~heuristics (b : Bench.t) : Stagg.Result_.t =
       time_s = Unix.gettimeofday () -. started;
       attempts = !attempts;
       expansions = !attempts;
-      pruned = 0;
       suppressed = 0;
       pruned_rules = 0;
       n_candidates = 0;
       validate_s = !validate_s;
       verify_s = 0.;
       instantiations = !attempts;
-      par = None;
+      frontier_peak = 0;
       traced = false;
       trace_templates = 0;
       warnings = [];

@@ -17,14 +17,13 @@ let run ?(batched_validate = true) ~seed (b : Bench.t) : Stagg.Result_.t =
       time_s = Unix.gettimeofday () -. started;
       attempts;
       expansions = 0;
-      pruned = 0;
       suppressed = 0;
       pruned_rules = 0;
       n_candidates;
       validate_s = !validate_s;
       verify_s = !verify_s;
       instantiations = !instantiations;
-      par = None;
+      frontier_peak = 0;
       traced = false;
       trace_templates = 0;
       warnings = [];

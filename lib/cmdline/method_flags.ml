@@ -1,0 +1,59 @@
+open Cmdliner
+module Method_ = Stagg.Method_
+
+type t = { analysis : bool; batched_validate : bool; oracle : Method_.oracle option }
+
+let no_analysis =
+  Arg.(
+    value & flag
+    & info [ "no-analysis" ]
+        ~doc:
+          "Disable the static liftability analysis (fail-fast and search pruning). \
+           Solved/attempt outcomes are byte-identical either way; this is the \
+           differential-testing baseline.")
+
+let batched_validate =
+  Arg.(
+    value
+    & opt (enum [ ("on", true); ("off", false) ]) true
+    & info [ "batched-validate" ] ~docv:"MODE"
+        ~doc:
+          "Template-level compilation in the validator: $(b,on) (default) compiles each \
+           template once and rebinds per substitution, $(b,off) falls back to per-candidate \
+           instantiate+compile. Solutions and instantiation counts are byte-identical either \
+           way; $(b,off) is the differential baseline.")
+
+let oracle =
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("default", None);
+             ("llm", Some Method_.Oracle_llm);
+             ("trace", Some Method_.Oracle_trace);
+             ("trace+llm", Some Method_.Oracle_trace_llm);
+             ("trace-llm", Some Method_.Oracle_trace_llm);
+           ])
+        None
+    & info [ "oracle" ] ~docv:"ORACLE"
+        ~doc:
+          "Candidate source: $(b,llm) (the paper's pipeline), $(b,trace) (templates extracted \
+           from the kernel's own execution trace — no LLM in the loop), or $(b,trace+llm) \
+           (union). $(b,default) keeps the method's own oracle (the $(b,trace)/$(b,trace+llm) \
+           methods carry theirs; everything else is $(b,llm)). A run with an explicit \
+           $(b,--oracle llm) is byte-identical to one without the flag.")
+
+let term =
+  Term.(
+    const (fun no_analysis batched_validate oracle ->
+        { analysis = not no_analysis; batched_validate; oracle })
+    $ no_analysis $ batched_validate $ oracle)
+
+let apply f (m : Method_.t) =
+  {
+    m with
+    analysis = m.analysis && f.analysis;
+    batched_validate = m.batched_validate && f.batched_validate;
+    oracle = Option.value f.oracle ~default:m.oracle;
+  }

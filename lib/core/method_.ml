@@ -15,12 +15,6 @@ let oracle_to_string = function
   | Oracle_trace -> "trace"
   | Oracle_trace_llm -> "trace+llm"
 
-let oracle_of_string = function
-  | "llm" -> Some Oracle_llm
-  | "trace" -> Some Oracle_trace
-  | "trace+llm" | "trace-llm" -> Some Oracle_trace_llm
-  | _ -> None
-
 type grammar_mode =
   | Refined  (** dimension-list-refined grammar, learned probabilities (STAGG) *)
   | Equal_probability  (** refined grammar, uniform probabilities *)
@@ -42,25 +36,12 @@ type t = {
           outcomes are byte-identical either way (only expansions/time
           drop); [false] reproduces the pre-analysis behaviour for
           differential testing. *)
-  prune_mode : Astar.prune_mode;
-      (** how the analysis prune absorbs doomed children when [analysis]
-          is on: [Prune_replay] enqueues tree-less replay items,
-          [Prune_admission] (default) never enqueues them and charges
-          their budget ticks through the admission ledger. Irrelevant
-          when [analysis = false]. *)
   batched_validate : bool;
       (** template-level compilation in the validator: compile each popped
           template once and [rebind] per substitution (default). Solutions,
           counts and memo keys are byte-identical either way; [false] forces
           the per-candidate instantiate + compile path for the on/off
           differential. *)
-  search_domains : int;
-      (** domain count for the deterministic parallel A* engine inside
-          each single search (coordinator included). [1] (default) is the
-          sequential engine; [0] means auto — take whatever helper
-          domains the {!Stagg_util.Pool} budget grants. Outcomes (solved,
-          attempts, expansions, first solutions, memo keys) are
-          byte-identical for every value; only wall-clock time moves. *)
   seed : int;  (** drives the mock LLM and example generation *)
   oracle : oracle;
       (** where candidate templates come from ({!Oracle_llm} by default).
@@ -84,9 +65,7 @@ let base search grammar penalties label =
     dedup = Astar.Fingerprint;
     verify = true;
     analysis = true;
-    prune_mode = Astar.Prune_admission;
     batched_validate = true;
-    search_domains = 1;
     seed = 20250604;
     oracle = Oracle_llm;
   }
@@ -95,20 +74,6 @@ let base search grammar penalties label =
     differential mode); the label is unchanged so sweep outputs diff
     cleanly against analysis-on runs. *)
 let without_analysis m = { m with analysis = false }
-
-(** The same method with the given doomed-child absorption mode; label
-    unchanged so sweep outputs diff cleanly across modes. *)
-let with_prune_mode m prune_mode = { m with prune_mode }
-
-(** The same method with batched (template-level) validation forced on or
-    off; label unchanged so the [--batched-validate off] differential
-    diffs cleanly against default runs. *)
-let with_batched_validate m batched_validate = { m with batched_validate }
-
-(** The same method searching with [search_domains] domains; label
-    unchanged so sweep outputs diff cleanly across domain counts (the
-    outcomes are byte-identical by design). *)
-let with_search_domains m search_domains = { m with search_domains }
 
 (** The same method drawing candidates from the given oracle; label
     unchanged, for differential runs ([--oracle llm] must diff cleanly

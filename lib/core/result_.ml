@@ -8,18 +8,14 @@ type t = {
   solution : Stagg_validate.Validator.solution option;
   time_s : float;
   attempts : int;  (** templates sent to validation (Table 1/3 "attempts") *)
-  expansions : int;  (** queue pops doing real work (excludes [pruned]) *)
-  pruned : int;  (** pops skipped as provably-doomed by the static analysis (replay mode) *)
-  suppressed : int;  (** doomed expansions never enqueued (admission mode) *)
+  expansions : int;  (** queue pops doing real work (excludes [suppressed]) *)
+  suppressed : int;  (** provably-doomed expansions the search never enqueued *)
   pruned_rules : int;  (** grammar rules the analysis marked doomed up front *)
   n_candidates : int;  (** syntactically valid LLM candidates parsed *)
   validate_s : float;  (** wall time inside the validator, incl. [verify_s] *)
   verify_s : float;  (** wall time inside the BMC verify hook *)
   instantiations : int;  (** concrete substitution instantiations executed *)
-  par : Stagg_search.Astar.par_stats option;
-      (** parallel-engine telemetry (speculated/committed/steal counts),
-          summed over this query's searches; [None] when the run was
-          configured sequential ([search_domains = 1]) *)
+  frontier_peak : int;  (** largest frontier length the search reached (0 without a search) *)
   traced : bool;
       (** the trace oracle ran and emitted at least one template for this
           query (always [false] under {!Method_.Oracle_llm}) *)

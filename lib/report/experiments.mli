@@ -13,10 +13,6 @@ type sweep = {
   sw_heap_words : int;  (** major-heap words at sweep end (compacted start) *)
   sw_instantiations : int;  (** validator instantiations summed over the sweep *)
   sw_validate_s : float;  (** in-validator seconds summed over the sweep *)
-  sw_par : Stagg_search.Astar.par_stats option;
-      (** parallel-engine telemetry (speculated/committed/steal counts)
-          summed over the sweep's queries, [par_domains] being the
-          maximum effective domain count; [None] for sequential sweeps *)
 }
 
 type runs = {
@@ -63,26 +59,16 @@ type runs = {
     pruning) on the STAGG methods; solved/attempt outcomes are
     byte-identical either way — only expansions and time drop — so
     [~analysis:false] is the differential baseline behind the bench
-    driver's [--no-analysis] flag. [prune_mode] (default
-    [Prune_admission]) picks how the prune absorbs doomed children
-    ({!Stagg_search.Astar.prune_mode}); it too leaves solved/attempt
-    outcomes byte-identical. [batched_validate] (default [true]) selects
-    template-level compilation in the validator — a third knob with the
-    same contract: solved/attempt/instantiation outcomes are
-    byte-identical on and off (the [@smoke] differential enforces it).
-    [search_domains] (default [1]) runs each STAGG search on the
-    deterministic parallel A* engine with that many domains
-    ({!Method_.t.search_domains}) — a fourth knob with the same
-    contract: outcomes are byte-identical for every domain count (the
-    [@smoke] [--search-domains 2] leg enforces it); [0] means auto. *)
+    driver's [--no-analysis] flag. [batched_validate] (default [true])
+    selects template-level compilation in the validator — a second knob
+    with the same contract: solved/attempt/instantiation outcomes are
+    byte-identical on and off (the [@smoke] differential enforces it). *)
 val run_all :
   ?seed:int ->
   ?progress:(string -> unit) ->
   ?jobs:int ->
   ?analysis:bool ->
-  ?prune_mode:Stagg_search.Astar.prune_mode ->
   ?batched_validate:bool ->
-  ?search_domains:int ->
   unit ->
   runs
 
@@ -92,9 +78,7 @@ val run_core :
   ?progress:(string -> unit) ->
   ?jobs:int ->
   ?analysis:bool ->
-  ?prune_mode:Stagg_search.Astar.prune_mode ->
   ?batched_validate:bool ->
-  ?search_domains:int ->
   unit ->
   runs
 
@@ -121,7 +105,7 @@ val schema_version : int
 
 (** [json_summary ~jobs ~wall_s runs] — the {!summary} data as a JSON
     document (per method: solved count, suite size, avg time and
-    attempts over solved queries, total attempts/expansions/pruned/
+    attempts over solved queries, total attempts/expansions/
     suppressed), the per-sweep wall/heap/instantiations-per-second log
     ([sweeps]), the cumulative validator counters
     ({!Stagg_validate.Validator.stats}: memo hits/misses/evictions,

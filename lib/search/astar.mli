@@ -16,20 +16,18 @@ val default_budget : budget
 
 type stats = {
   attempts : int;
-  expansions : int;
-      (** pops doing real work (entries and ghosts); excludes [pruned]
-          and [suppressed] *)
-  pruned : int;
-      (** pops of analysis-pruned complete templates ([Prune_replay]
-          mode) — provably zero-substitution validations skipped *)
+  expansions : int;  (** pops doing real work (entries and ghosts); excludes [suppressed] *)
   suppressed : int;
-      (** admission-suppressed expansions ([Prune_admission] mode):
-          doomed complete children never enqueued, charged to the budget
-          at their baseline pop position via the admission ledger. Budget
-          caps and the timeout poll tick on
-          [expansions + pruned + suppressed] (total baseline pops), so
-          enabling pruning in either mode moves no stop point; see
-          {!search_topdown}. *)
+      (** admission-suppressed expansions: doomed complete children never
+          enqueued, charged to the budget at their baseline pop position
+          via the admission ledger. Budget caps and the timeout poll tick
+          on [expansions + suppressed] (total baseline pops), so enabling
+          pruning moves no stop point; see {!search_topdown}. *)
+  frontier_peak : int;
+      (** the largest frontier length the search reached. Deterministic
+          (a function of the pop sequence alone), and a direct measure of
+          how much the search retains: admission-suppressed children
+          never count, ghosts do. *)
   elapsed_s : float;
 }
 
@@ -58,99 +56,29 @@ val stats_of : 'sol outcome -> stats
     probe keys on the printed template — kept for differential testing. *)
 type dedup = Fingerprint | Pretty_key
 
-(** How analysis-pruned (doomed) complete children are absorbed.
-
-    [Prune_replay]: each doomed child is pushed as a tree-less pruned
-    item at bit-identical f; its pop replays the baseline's observable
-    effects and ticks [pruned].
-
-    [Prune_admission] (the default): the doomed child is never enqueued
-    at all — no entry allocation, no frontier traffic, no ghost replay.
-    Its (f, tie-break sequence) key goes to a scalar side ledger, which
-    the search drains in lockstep with the frontier so the suppressed
-    pop's budget tick and observable dedup/attempt effects land at
-    exactly the position the baseline pop would have — caps and the
-    64-pop clock poll bind on the same template either way. Both modes
-    produce byte-identical solved/attempt/first-solution outcomes to
-    pruning off; admission additionally keeps doomed subtrees out of the
-    frontier ([suppressed] replaces [pruned] in the stats). *)
-type prune_mode = Prune_replay | Prune_admission
-
-val prune_mode_to_string : prune_mode -> string
-
-(** Telemetry from the parallel engine (see [?domains] below):
-    speculative expansions computed by worker domains, how many the
-    commit loop actually consumed ([par_speculated - par_committed] is
-    wasted speculation), and how many claims came off another worker's
-    shard (the work-stealing overflow lane). All zero when
-    [par_domains = 1]. *)
-type par_stats = {
-  par_domains : int;  (** effective domain count, coordinator included *)
-  par_speculated : int;  (** speculation payloads workers finished *)
-  par_committed : int;  (** payloads the commit loop consumed *)
-  par_steals : int;  (** claims taken from a non-owned shard *)
-}
-
-val no_par_stats : par_stats
-
 (** Top-down search (Algorithm 1): validates templates when a complete
     tree is dequeued; trees deeper than [max_depth] (default 6, §5.1) are
     discarded. The [validate] callback receives the template AST and
     returns a solution to stop the search.
 
     [?prune] enables analysis-guided pruning ({!Stagg_grammar.Prune}):
-    complete children whose template is provably a zero-substitution
-    validation are absorbed per [?prune_mode] (replayed or
-    admission-suppressed) with the baseline's observable effects
-    (attempt counts, dedup marks, budget ticks) reproduced exactly, so
-    solved/attempt outcomes are byte-identical with pruning on or off —
-    only reported [expansions] (and time) drop. Requires [Fingerprint]
-    dedup (and, top-down, static depth tables); silently off
-    otherwise.
-
-    [?domains] (default 1) turns on the deterministic parallel engine:
-    the frontier is sharded across [domains] {!Stagg_util.Pqueue} shards
-    and [domains - 1] worker domains speculatively precompute the PURE
-    part of upcoming pops (child annotations, penalties, prune states,
-    program rebuilds, and — via [?staged_validate] — the compute half of
-    validation), while the single coordinator commits pops in exactly
-    the sequential (f, seq) order, substituting finished speculations
-    where they exist and computing inline otherwise. Every speculative
-    value is bit-identical to its inline counterpart, so
-    solved/attempt/expansion/first-solution outcomes are byte-identical
-    to [?domains:1] for every domain count — parallelism changes
-    wall-clock time only (the wall-clock timeout backstop remains, as
-    always, machine-dependent). [0] means auto: take whatever helper
-    domains the {!Stagg_util.Pool} budget grants. Explicit counts are
-    honored but still debited from the Pool budget so nested parallelism
-    clamps instead of oversubscribing. Searches whose grammar lacks
-    incremental metrics (or, top-down, static depth tables) run
-    sequentially regardless.
-
-    [?staged_validate] splits validation for speculation: [sv p]
-    performs the expensive pure compute and returns a thunk whose later
-    invocation (always on the coordinator, at the commit point) applies
-    the observable effects (timing/instantiation counters) and yields
-    the result. Must satisfy [(sv p) () ≡ validate p] observably; when
-    absent, workers only speculate expansions and every validation runs
-    inline on the coordinator.
-
-    [?on_par_stats] receives the engine's {!par_stats} once, after the
-    workers have been joined. [?commit_probe] is called with the (f,
-    seq) key of every committed pop — frontier pops and admission-ledger
-    drains alike, in commit order — and exists so tests can assert the
-    commit stream itself, not just the end counts. *)
+    a complete child whose template is provably a zero-substitution
+    validation is never enqueued at all — no entry allocation, no
+    frontier traffic. Its (f, tie-break sequence) key goes to a scalar
+    side ledger, which the search drains in lockstep with the frontier
+    so the suppressed pop's budget tick and observable dedup/attempt
+    effects land at exactly the position the baseline pop would have.
+    Solved/attempt outcomes are therefore byte-identical with pruning on
+    or off — caps and the 64-pop clock poll bind on the same template —
+    and only reported [expansions] (and time) drop. Requires
+    [Fingerprint] dedup (and, top-down, static depth tables); silently
+    off otherwise. *)
 val search_topdown :
   pcfg:Stagg_grammar.Pcfg.t ->
   penalty_ctx:Penalty.ctx ->
   ?max_depth:int ->
   ?dedup:dedup ->
   ?prune:Stagg_grammar.Prune.t ->
-  ?prune_mode:prune_mode ->
-  ?domains:int ->
-  ?staged_validate:(Stagg_taco.Ast.program -> unit -> 'sol option) ->
-  ?on_par_stats:(par_stats -> unit) ->
-  ?commit_probe:(float -> int -> unit) ->
   budget:budget ->
   validate:(Stagg_taco.Ast.program -> 'sol option) ->
   unit ->
@@ -159,21 +87,15 @@ val search_topdown :
 (** Bottom-up search (Algorithm 2): when a dequeued tree has exactly the
     predicted number of tensors, its trailing TAIL nonterminals are erased
     (RemoveTail) and the completed template is validated; expansion then
-    continues regardless. [?prune] / [?prune_mode] / [?domains] /
-    [?staged_validate] / [?on_par_stats] / [?commit_probe] as in
-    {!search_topdown}; the bottom-up penalties never read the rebuilt
-    AST, so pruned completions skip materialization entirely. *)
+    continues regardless. [?prune] as in {!search_topdown}; the bottom-up
+    penalties never read the rebuilt AST, so suppressed completions skip
+    materialization entirely. *)
 val search_bottomup :
   pcfg:Stagg_grammar.Pcfg.t ->
   penalty_ctx:Penalty.ctx ->
   dim_list:int list ->
   ?dedup:dedup ->
   ?prune:Stagg_grammar.Prune.t ->
-  ?prune_mode:prune_mode ->
-  ?domains:int ->
-  ?staged_validate:(Stagg_taco.Ast.program -> unit -> 'sol option) ->
-  ?on_par_stats:(par_stats -> unit) ->
-  ?commit_probe:(float -> int -> unit) ->
   budget:budget ->
   validate:(Stagg_taco.Ast.program -> 'sol option) ->
   unit ->

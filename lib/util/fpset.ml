@@ -1,44 +1,10 @@
-(* A lock-striped set of 63-bit fingerprints.
+type t = (int, unit) Hashtbl.t
 
-   The parallel A* has one writer (the coordinator, which marks
-   validated templates in commit order) and K-1 speculative readers
-   (worker domains probing whether a complete template is already
-   validated, to skip staging a validation that would be dropped as a
-   duplicate). Striping keeps the common case — different domains
-   probing different fingerprints — uncontended; a single stripe's
-   mutex is held only for one small-Hashtbl operation.
+let create () = Hashtbl.create 64
+let mem = Hashtbl.mem
 
-   Reader staleness is harmless BY CONSTRUCTION of the callers: the set
-   only grows, and a worker that misses a just-added fingerprint merely
-   performs speculation the coordinator will discard (the authoritative
-   duplicate check is {!check_add}, always on the coordinator, in commit
-   order). The sequential engine uses the same structure with the same
-   semantics — a set is a set, so membership answers (and therefore all
-   search counts) are identical for any domain count. *)
-
-type t = { stripes : (int, unit) Hashtbl.t array; locks : Mutex.t array }
-
-let n_stripes = 16 (* power of two; fingerprints are well-mixed already *)
-
-let create () =
-  {
-    stripes = Array.init n_stripes (fun _ -> Hashtbl.create 16);
-    locks = Array.init n_stripes (fun _ -> Mutex.create ());
-  }
-
-let stripe fp = fp land (n_stripes - 1)
-
-let mem t fp =
-  let i = stripe fp in
-  Mutex.protect t.locks.(i) (fun () -> Hashtbl.mem t.stripes.(i) fp)
-
-(* [check_add t fp] — atomically: was [fp] present? (adding it if not).
-   The one-lock test-and-set the dedup protocol needs. *)
 let check_add t fp =
-  let i = stripe fp in
-  Mutex.protect t.locks.(i) (fun () ->
-      if Hashtbl.mem t.stripes.(i) fp then true
-      else begin
-        Hashtbl.add t.stripes.(i) fp ();
-        false
-      end)
+  Hashtbl.mem t fp
+  ||
+  (Hashtbl.add t fp ();
+   false)

@@ -1,18 +1,12 @@
-(** A lock-striped set of 63-bit fingerprints: one writing domain, many
-    speculative readers. Membership semantics are those of a plain set,
-    so results never depend on the domain count; striping only bounds
-    contention. See the implementation header for the staleness
-    argument. *)
+(** A set of 63-bit fingerprints: the A* searches' record of validated
+    templates. *)
 
 type t
 
 val create : unit -> t
-
-(** Concurrent-safe membership probe (may be stale by the time the
-    caller acts on it — callers must tolerate that). *)
 val mem : t -> int -> bool
 
-(** [check_add t fp] — atomically tests membership and inserts when
-    absent; returns [true] iff [fp] was already present. The
-    authoritative test-and-set used by the dedup protocol. *)
+(** [check_add t fp] tests membership and inserts when absent; returns
+    [true] iff [fp] was already present. The test-and-set the dedup
+    protocol needs. *)
 val check_add : t -> int -> bool

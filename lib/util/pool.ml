@@ -12,8 +12,8 @@ let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
    domain is not a helper). Default-concurrency callers CLAIM from it
    and clamp to what they get — a nested default [map] inside a pool
    worker finds the budget drained by its parent and runs sequentially
-   instead of spawning jobs × K domains. Explicit requests (a user's
-   [--jobs N] / [--search-domains K]) are honored as asked but still
+   instead of spawning jobs × jobs domains. Explicit requests (a user's
+   [--jobs N], a serve request's slot) are honored as asked but still
    debit the budget, so the defaults beneath them clamp. *)
 
 let budget_left = Atomic.make (max 0 (Domain.recommended_domain_count () - 1))

@@ -26,11 +26,10 @@ val default_jobs : unit -> int
 
     A process-wide atomic count of helper domains that may be spawned,
     initialized to [recommended_domain_count () - 1]. Callers that pick
-    their own concurrency ({!map} without [~jobs], the parallel A*'s
-    [--search-domains auto]) {!claim} from it and clamp to the grant, so
-    nesting composes: a default pool inside a pool worker (or inside a
-    parallel search) finds the budget drained and runs sequentially
-    instead of oversubscribing jobs × K domains. Explicit requests are
+    their own concurrency ({!map} without [~jobs]) {!claim} from it and
+    clamp to the grant, so nesting composes: a default pool inside a
+    pool worker finds the budget drained and runs sequentially instead
+    of oversubscribing. Explicit requests are
     honored as asked but still debit the budget, clamping the defaults
     beneath them. Because every parallel construct in this codebase is
     outcome-deterministic for any domain count, dynamic clamping never

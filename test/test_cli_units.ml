@@ -1,6 +1,7 @@
 (* Unit coverage for CLI-adjacent plumbing that the binary exercises:
-   query construction, replay-driven lifting, and the end-to-end
-   lift-file path (without spawning a process). *)
+   query construction, replay-driven lifting, the end-to-end lift-file
+   path (without spawning a process), and the method-flag term shared by
+   the CLI and the bench harness. *)
 
 module Sig = Stagg_minic.Signature
 
@@ -62,6 +63,39 @@ let test_query_of_bench_uses_mock () =
   let lines = C.query ~prompt:"p" in
   check_bool "mock yields responses" true (List.length lines >= 10)
 
+(* ---- the shared method-flag term ---- *)
+
+module Method_flags = Stagg_cmdline.Method_flags
+
+let eval_flags args =
+  let cmd =
+    Cmdliner.Cmd.v (Cmdliner.Cmd.info "t")
+      Cmdliner.Term.(const Method_flags.apply $ Method_flags.term $ const Stagg.Method_.stagg_td)
+  in
+  Cmdliner.Cmd.eval_value ~err:Format.str_formatter ~argv:(Array.of_list ("t" :: args)) cmd
+
+let check_method args (expected : Stagg.Method_.t) =
+  match eval_flags args with
+  | Ok (`Ok m) -> check_bool (String.concat " " args) true (m = expected)
+  | _ -> Alcotest.failf "%s: did not evaluate" (String.concat " " args)
+
+let test_flags_map_to_method () =
+  let td = Stagg.Method_.stagg_td in
+  check_method [] td;
+  check_method [ "--no-analysis" ] { td with analysis = false };
+  check_method [ "--batched-validate"; "on" ] td;
+  check_method [ "--batched-validate"; "off" ] { td with batched_validate = false };
+  check_method [ "--oracle"; "default" ] td;
+  check_method [ "--oracle"; "trace+llm" ] { td with oracle = Stagg.Method_.Oracle_trace_llm };
+  check_method
+    [ "--no-analysis"; "--batched-validate=off"; "--oracle"; "trace" ]
+    { td with analysis = false; batched_validate = false; oracle = Stagg.Method_.Oracle_trace }
+
+let test_bad_flag_values_rejected () =
+  List.iter
+    (fun args -> check_bool (String.concat " " args) true (eval_flags args = Error `Parse))
+    [ [ "--batched-validate"; "maybe" ]; [ "--oracle"; "gpt" ] ]
+
 let () =
   Alcotest.run "stagg_cli_units"
     [
@@ -71,5 +105,10 @@ let () =
           Alcotest.test_case "empty transcript" `Quick test_lift_with_empty_transcript;
           Alcotest.test_case "garbage transcript" `Quick test_lift_with_garbage_transcript;
           Alcotest.test_case "benchmark query uses the mock" `Quick test_query_of_bench_uses_mock;
+        ] );
+      ( "method flags",
+        [
+          Alcotest.test_case "argv maps to the expected method" `Quick test_flags_map_to_method;
+          Alcotest.test_case "bad values are parse errors" `Quick test_bad_flag_values_rejected;
         ] );
     ]

@@ -39,14 +39,13 @@ let fake name solved time =
     time_s = time;
     attempts = 1;
     expansions = 1;
-    pruned = 0;
     suppressed = 0;
     pruned_rules = 0;
     n_candidates = 0;
     validate_s = 0.;
     verify_s = 0.;
     instantiations = 1;
-    par = None;
+    frontier_peak = 0;
     traced = false;
     trace_templates = 0;
     warnings = [];
@@ -109,7 +108,6 @@ let synthetic_runs () =
           sw_heap_words = 1_000_000;
           sw_instantiations = 10;
           sw_validate_s = 0.5;
-          sw_par = None;
         };
       ];
   }
