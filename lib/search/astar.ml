@@ -147,31 +147,40 @@ module Ledger = struct
     (fp, depth, nt)
 end
 
-(* A frontier element carries everything the pop side needs — path cost,
-   metrics, and (for complete trees) the rebuilt program. Incomplete
-   trees are NOT materialized at push time: the annotation is extended
-   from the parent's without the child tree, so the entry stores the
-   parent tree and the rule id, and only the pop side — reached for a
-   small fraction of pushed entries — builds the tree. Siblings share the
-   parent pointer, so a frontier of a million entries holds thousands of
-   trees, not a million. An entry is one inline record, no separate
-   boxes: the frontier is nearly all the memory a search retains, and
-   every word saved per entry is also major-GC work saved.
+(* A frontier element carries what the pop side needs to handle it.
+   [Built] holds a tree, its annotation and (when complete) the rebuilt
+   program. An incomplete child is pushed [Lazy]: the push scores it from
+   the scalar child key ({!Node.child_key}, {!Node.g_child}) on its
+   parent's annotation, and the entry holds only the rule id and the
+   popped [parent] — tree, annotation, path cost and prune state — which
+   all its siblings share. The pop, reached for a small fraction of pushed
+   entries, rebuilds the child's annotation with the deterministic
+   {!Node.expand_metrics}, its path cost and prune state the same way the
+   push computed them, and applies the rule to the tree. The frontier is
+   nearly all the memory a search retains, and every word saved per
+   entry is also major-GC work saved.
+
+   Complete children are [Built] at push time: the ghost and ledger
+   decisions need their fingerprint, and their program is rebuilt once
+   and carried to the pop. So is every child of a grammar that is not
+   {!Node.incremental_safe}, annotated by a full scan.
 
    [Ghost] replays the pop of a complete duplicate of an
    already-validated template without carrying (or ever building) the
    tree: its pop only counts an expansion, exactly what the popped
    duplicate would have done. Doomed complete children never reach the
    frontier at all — see {!Ledger}. *)
+type parent = { pc : float; ptree : Node.t; pann : Node.annotated; ppst : Prune.state }
+
 type item =
-  | Entry of {
+  | Built of {
       c : float;  (** path cost c(x) *)
-      tree : Node.t;  (** the tree itself when [rule < 0], else its parent *)
-      rule : int;  (** rule id to apply at the parent's leftmost open leaf; -1 for built trees *)
+      tree : Node.t;
       ann : Node.annotated;
       program : Stagg_taco.Ast.program option;  (** Some iff complete *)
       pst : Prune.state;  (** analysis-prune state of the applied-rule multiset *)
     }
+  | Lazy of { parent : parent; rule : int  (** applied at the parent's leftmost open leaf *) }
   | Ghost
 
 let materialize g tree rule = if rule < 0 then tree else Node.expand1 tree (Cfg.rule g rule)
@@ -191,7 +200,8 @@ type 'sol engine = {
           duplicate's ghost reconstruct the same f without rescoring *)
   fps : Node.fingerprints;
   rule_cost : float array;  (** [Pcfg.cost] per rule, precomputed *)
-  h_memo : (string, float) Hashtbl.t;  (** [Pcfg.h_cost] per nonterminal, precomputed *)
+  gt : Node.g_tables;  (** g(x) of a child from per-rule h-costs *)
+  key : Node.child_key;  (** push-side scratch, refilled per child *)
   inc_safe : bool;  (** grammar admits incremental metrics *)
   prune : Prune.t option;  (** analysis-guided pruning (Fingerprint mode only) *)
   started : float;
@@ -220,8 +230,6 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
   let g = Pcfg.cfg pcfg in
   let x0 = Node.initial g in
   let rule_cost = Array.init (Cfg.size g) (fun id -> Pcfg.cost pcfg (Cfg.rule g id)) in
-  let h_memo = Hashtbl.create 16 in
-  List.iter (fun nt -> Hashtbl.replace h_memo nt (Pcfg.h_cost pcfg nt)) (Cfg.nonterminals g);
   let e =
     {
       pcfg;
@@ -236,7 +244,8 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
       pen_memo = Hashtbl.create 64;
       fps;
       rule_cost;
-      h_memo;
+      gt = Node.g_tables pcfg;
+      key = Node.child_key_create ();
       inc_safe = Node.incremental_safe g;
       (* the ledger drain replays the duplicate protocol by marking
          [seen_fp], so pruning only composes with fingerprint dedup *)
@@ -252,15 +261,7 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
     }
   in
   qpush e 0.
-    (Entry
-       {
-         c = 0.;
-         tree = x0;
-         rule = -1;
-         ann = Node.annotate g fps x0;
-         program = None;
-         pst = Prune.root;
-       });
+    (Built { c = 0.; tree = x0; ann = Node.annotate g fps x0; program = None; pst = Prune.root });
   e
 
 let elapsed e = Unix.gettimeofday () -. e.started
@@ -273,11 +274,6 @@ let stats e =
     frontier_peak = e.frontier_peak;
     elapsed_s = elapsed e;
   }
-
-(* Same per-nonterminal values and the same left-to-right summation as
-   [Node.g_cost_opens], with the log₂ precomputed per nonterminal. *)
-let g_opens e opens =
-  List.fold_left (fun acc nt -> acc +. Hashtbl.find e.h_memo nt) 0. opens
 
 (* The frontier is also capped: a queue of this size means the heuristic
    has stopped discriminating and memory would grow without bound. *)
@@ -350,115 +346,94 @@ let try_validate e ~fp (program : Stagg_taco.Ast.program option) : 'sol option =
         e.validate p
       end
 
-(* Push every legal one-step expansion of the popped entry (whose tree [px] the
-   pop side has just materialized). Metrics are extended incrementally
-   from the parent's annotation without building the child tree; only
-   complete children are materialized here, to rebuild their program
-   once and carry it to the pop. *)
+let prune_step e pst (r : Cfg.rule) =
+  match e.prune with None -> Prune.root | Some pr -> Prune.step pr pst r.id
+
+(* Push a built child [x'] (rule -1) with its annotation and, when
+   complete, its program. *)
+let push_built e ~c ~pst ~g_x x' (ann : Node.annotated) program =
+  let pen = Penalty.score_compiled e.penalty ann.Node.metrics ~program in
+  if pen < infinity then begin
+    if e.dedup = Fingerprint && ann.Node.metrics.complete then
+      Hashtbl.replace e.pen_memo ann.Node.fp pen;
+    qpush e (c +. g_x +. pen) (Built { c; tree = x'; ann; program; pst })
+  end
+
+(* A complete child of an incremental-safe grammar, annotated from the
+   parent's. It has no open leaves, so g(x) = 0. *)
+let push_complete e g ~c' ~pst:parent_pst ~ann:(parent_ann : Node.annotated) px (r : Cfg.rule) =
+  let ann = Node.expand_metrics e.fps parent_ann r in
+  let ghost_pen =
+    (* pre-probe duplicate suppressor: a complete child whose fingerprint
+       has already been validated will be a dead pop, so push a ghost in
+       its place — no tree, no program rebuild, no penalty rescore.
+       [pen_memo] holds the penalty its first twin was pushed with (equal
+       template ⇒ equal metrics and AST ⇒ equal penalty), making the
+       ghost's f bit-identical to the suppressed entry's. *)
+    if e.dedup = Fingerprint && Fpset.mem e.seen_fp ann.Node.fp then
+      Hashtbl.find_opt e.pen_memo ann.Node.fp
+    else None
+  in
+  match ghost_pen with
+  | Some pen -> qpush e (c' +. 0. +. pen) Ghost
+  | None -> (
+      let pst' = prune_step e parent_pst r in
+      match e.prune with
+      | Some _ when Prune.is_doomed pst' ->
+          (* a DOOMED complete child — the analysis proved its validation
+             enumerates zero substitutions — is never enqueued: its (f,
+             seq) key goes to the ledger, which replays the pop's
+             observable effects at its baseline position. The penalty is
+             rescored the baseline way (rebuilding the program only if a
+             criterion reads it) because f must be bit-identical, and
+             [pen_memo] is still fed so later twins ghost exactly as
+             before. Incomplete doomed children stay ordinary entries:
+             their pops never validate anyway, and their children inherit
+             the doomed state through [pst]. *)
+          let program =
+            if Penalty.needs_program e.penalty then Node.to_program g (Node.expand1 px r) else None
+          in
+          let pen = Penalty.score_compiled e.penalty ann.Node.metrics ~program in
+          if pen < infinity then begin
+            Hashtbl.replace e.pen_memo ann.Node.fp pen;
+            Ledger.push e.sup ~prio:(c' +. 0. +. pen) ~seq:(take_seq e) ~fp:ann.Node.fp
+              ~depth:ann.Node.depth ~nt:ann.Node.metrics.n_tensors
+          end
+      | _ ->
+          let x' = Node.expand1 px r in
+          push_built e ~c:c' ~pst:pst' ~g_x:0. x' ann (Node.to_program g x'))
+
+(* Push every legal one-step expansion of the popped entry (whose tree [px]
+   the pop side has just materialized). An incomplete child is scored
+   from the scalar child key and pushed lazily, as (parent tree, parent
+   annotation, rule); g(x) sums the rule's h-costs and the parent's
+   remaining opens, whose costs are looked up once per pop. *)
 let push_expansions e (g : Cfg.t) ~c:parent_c ~ann:(parent_ann : Node.annotated) ~pst:parent_pst
     (px : Node.t) =
   match parent_ann.Node.opens with
   | [] -> ()
   | nt :: _ ->
-      (* Sibling children whose rule adds no nonterminals all share the
-         parent's tail as their opens list — physically, thanks to the
-         incremental extension — and tensor/operator nonterminals expand by
-         dozens of such rules. A one-slot cache keyed on physical identity
-         computes their (identical, float-for-float) g once per expansion
-         instead of once per rule. *)
-      let g_cache : (string list * float) option ref = ref None in
-      let g_of opens =
-        match !g_cache with
-        | Some (k, v) when k == opens -> v
-        | _ ->
-            let v = g_opens e opens in
-            g_cache := Some (opens, v);
-            v
-      in
+      let rest = if e.inc_safe then Node.g_rest e.gt parent_ann else [||] in
+      let parent = { pc = parent_c; ptree = px; pann = parent_ann; ppst = parent_pst } in
       List.iter
         (fun (r : Cfg.rule) ->
           let rc = e.rule_cost.(r.id) in
           if rc < infinity then begin
             let c' = parent_c +. rc in
-            let inc_ann =
-              if e.inc_safe then Some (Node.expand_metrics e.fps parent_ann r) else None
-            in
-            let ghosted =
-              (* pre-probe duplicate suppressor: a complete child whose
-                 fingerprint has already been validated will be a dead pop,
-                 so push a ghost in its place — no tree, no program
-                 rebuild, no penalty rescore. [pen_memo] holds the penalty
-                 its first twin was pushed with (equal template ⇒ equal
-                 metrics and AST ⇒ equal penalty), making the ghost's f
-                 bit-identical to the suppressed entry's. *)
-              match inc_ann with
-              | Some ann
-                when e.dedup = Fingerprint
-                     && ann.Node.metrics.complete
-                     && Fpset.mem e.seen_fp ann.Node.fp -> (
-                  match Hashtbl.find_opt e.pen_memo ann.Node.fp with
-                  | Some pen ->
-                      qpush e (c' +. 0. +. pen) Ghost;
-                      true
-                  | None -> false)
-              | _ -> false
-            in
-            if not ghosted then begin
-              let pst' =
-                match e.prune with None -> Prune.root | Some pr -> Prune.step pr parent_pst r.id
-              in
-              let suppressed =
-                (* a DOOMED complete child — the analysis proved its
-                   validation enumerates zero substitutions — is never
-                   enqueued: its (f, seq) key goes to the ledger, which
-                   replays the pop's observable effects at its baseline
-                   position. The penalty is rescored the baseline way
-                   (rebuilding the program only if a criterion reads it)
-                   because f must be bit-identical, and [pen_memo] is
-                   still fed so later twins ghost exactly as before.
-                   Incomplete doomed children stay ordinary entries:
-                   their pops never validate anyway, and their children
-                   inherit the doomed state through [pst]. *)
-                match (e.prune, inc_ann) with
-                | Some _, Some ann when ann.Node.metrics.complete && Prune.is_doomed pst' ->
-                    let program =
-                      if Penalty.needs_program e.penalty then Node.to_program g (Node.expand1 px r)
-                      else None
-                    in
-                    let pen = Penalty.score_compiled e.penalty ann.Node.metrics ~program in
-                    if pen < infinity then begin
-                      Hashtbl.replace e.pen_memo ann.Node.fp pen;
-                      Ledger.push e.sup ~prio:(c' +. 0. +. pen) ~seq:(take_seq e) ~fp:ann.Node.fp
-                        ~depth:ann.Node.depth ~nt:ann.Node.metrics.n_tensors
-                    end;
-                    true
-                | _ -> false
-              in
-              if not suppressed then begin
-                let tree, rule, ann, program =
-                  match inc_ann with
-                  | Some ann ->
-                      if ann.Node.metrics.complete then
-                        let x' = Node.expand1 px r in
-                        (x', -1, ann, Node.to_program g x')
-                      else (px, r.id, ann, None)
-                  | None ->
-                      let x' = Node.expand1 px r in
-                      let ann = Node.annotate g e.fps x' in
-                      let program =
-                        if ann.Node.metrics.complete then Node.to_program g x' else None
-                      in
-                      (x', -1, ann, program)
-                in
-                let pen = Penalty.score_compiled e.penalty ann.Node.metrics ~program in
-                if pen < infinity then begin
-                  if e.dedup = Fingerprint && ann.Node.metrics.complete then
-                    Hashtbl.replace e.pen_memo ann.Node.fp pen;
-                  qpush e
-                    (c' +. g_of ann.Node.opens +. pen)
-                    (Entry { c = c'; tree; rule; ann; program; pst = pst' })
-                end
-              end
+            if not e.inc_safe then begin
+              let x' = Node.expand1 px r in
+              let ann = Node.annotate g e.fps x' in
+              let program = if ann.Node.metrics.complete then Node.to_program g x' else None in
+              push_built e ~c:c' ~pst:(prune_step e parent_pst r) ~g_x:(Node.g_cost e.pcfg x') x'
+                ann program
+            end
+            else if Node.child_completes e.fps parent_ann r.id then
+              push_complete e g ~c' ~pst:parent_pst ~ann:parent_ann px r
+            else begin
+              Node.child_key e.fps parent_ann r.id e.key;
+              let pen = Penalty.score_key e.penalty e.key in
+              if pen < infinity then
+                qpush e (c' +. Node.g_child e.gt rest r.id +. pen) (Lazy { parent; rule = r.id })
             end
           end)
         (Cfg.rules_for g nt)
@@ -473,7 +448,8 @@ let replay_suppressed e ~fp =
 (* The pop loop shared by both searches: drain the ledger and the
    frontier in merged (f, seq) order, charging the budget before every
    pop. [on_suppressed] replays a ledger drain's guard; [on_entry]
-   performs a real pop and returns [Some sol] to stop. *)
+   performs a real pop — of [tree] itself when [rule < 0], else of the
+   child applying [rule] to it — and returns [Some sol] to stop. *)
 let run e ~on_suppressed ~on_entry =
   let rec loop () =
     if over_budget e then Budget_exceeded (e.stop, stats e)
@@ -490,8 +466,16 @@ let run e ~on_suppressed ~on_entry =
           e.expansions <- e.expansions + 1;
           match it with
           | Ghost -> loop ()
-          | Entry { c; tree; rule; ann; program; pst } -> (
-              match on_entry ~c ~tree ~rule ~ann ~program ~pst with
+          | Built { c; tree; ann; program; pst } -> (
+              match on_entry ~c ~tree ~rule:(-1) ~ann ~program ~pst with
+              | Some sol -> Solved (sol, stats e)
+              | None -> loop ())
+          | Lazy { parent = p; rule } -> (
+              let r = Cfg.rule (Pcfg.cfg e.pcfg) rule in
+              match
+                on_entry ~c:(p.pc +. e.rule_cost.(rule)) ~tree:p.ptree ~rule
+                  ~ann:(Node.expand_metrics e.fps p.pann r) ~program:None ~pst:(prune_step e p.ppst r)
+              with
               | Some sol -> Solved (sol, stats e)
               | None -> loop ()))
   in

@@ -4,7 +4,13 @@
     f(x) = c(x) + g(x) + X(x), expand the leftmost nonterminal of the
     cheapest tree, and hand complete templates to a caller-supplied
     validator. Rules with probability 0 (cost ∞) and expressions with
-    infinite penalty are never enqueued. *)
+    infinite penalty are never enqueued.
+
+    An incomplete child is enqueued lazily: it is scored from
+    {!Node.child_key} and {!Node.g_child} on its parent's annotation, its
+    frontier entry holds the parent's tree and annotation plus the rule,
+    and its own annotation is rebuilt ({!Node.expand_metrics}) only when
+    it is popped. *)
 
 type budget = {
   max_attempts : int;  (** validator calls before giving up *)

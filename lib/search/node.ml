@@ -15,39 +15,42 @@ let is_complete x = leftmost_open x = None
 let apply_rule (r : Cfg.rule) =
   Node (r.id, List.map (function Cfg.NT n -> Open n | Cfg.T t -> Leaf t) r.rhs)
 
-(* Substitute the leftmost Open leaf with [repl]; returns the new tree and
-   whether a substitution happened. *)
+(* Substitute the leftmost Open leaf with [repl] ([repl] is a fresh
+   node, never physically equal to the leaf). A subtree without an Open
+   leaf comes back physically unchanged, so only the path to the leaf is
+   rebuilt. *)
 let rec subst_leftmost x repl =
   match x with
-  | Open _ -> (repl, true)
-  | Leaf _ -> (x, false)
+  | Open _ -> repl
+  | Leaf _ -> x
   | Node (id, ch) ->
-      let rec go acc done_ = function
-        | [] -> (List.rev acc, done_)
-        | c :: rest ->
-            if done_ then go (c :: acc) true rest
-            else
-              let c', d = subst_leftmost c repl in
-              go (c' :: acc) d rest
-      in
-      let ch', d = go [] false ch in
-      (Node (id, ch'), d)
+      let ch' = subst_children ch repl in
+      if ch' == ch then x else Node (id, ch')
+
+and subst_children ch repl =
+  match ch with
+  | [] -> ch
+  | c :: rest ->
+      let c' = subst_leftmost c repl in
+      if c' != c then c' :: rest
+      else
+        let rest' = subst_children rest repl in
+        if rest' == rest then ch else c :: rest'
+
+let expand1 x (r : Cfg.rule) =
+  let x' = subst_leftmost x (apply_rule r) in
+  assert (x' != x);
+  x'
 
 let expansions g x =
   match leftmost_open x with
   | None -> []
-  | Some nt ->
-      List.map
-        (fun (r : Cfg.rule) ->
-          let x', ok = subst_leftmost x (apply_rule r) in
-          assert ok;
-          (r, x'))
-        (Cfg.rules_for g nt)
+  | Some nt -> List.map (fun (r : Cfg.rule) -> (r, expand1 x r)) (Cfg.rules_for g nt)
 
 (* Flat left-to-right accumulation over the open leaves: closed leaves
    thread the accumulator through unchanged, so this is float-for-float
    the same computation as folding over the ordered open-leaf list —
-   the invariant [g_cost_opens] relies on. *)
+   the invariant [g_child] relies on. *)
 let g_cost p x =
   let rec go acc = function
     | Leaf _ -> acc
@@ -55,8 +58,6 @@ let g_cost p x =
     | Node (_, ch) -> List.fold_left go acc ch
   in
   go 0. x
-
-let g_cost_opens p opens = List.fold_left (fun acc nt -> acc +. Pcfg.h_cost p nt) 0. opens
 
 let rec depth g = function
   | Leaf (Cfg.Tok_tensor _ | Cfg.Tok_const) -> 1
@@ -98,6 +99,12 @@ let rec depth g = function
    equal, i.e. iff their fingerprints collide only with hash probability
    ~2⁻⁶³ (audited in the test suite). *)
 
+type rule_leaf =
+  | No_leaf
+  | Const_leaf  (** the [Tok_const] terminal *)
+  | Tensor_leaf of (string * string list) * bool
+      (** the leaf as [tensor_leaves] lists it; its index list mentions ["i"] *)
+
 type fingerprints = {
   mult : int array;
   addend : int array;
@@ -110,6 +117,14 @@ type fingerprints = {
   d_branch : bool array;
   d_gain : bool array;
   depth_static : bool;
+  (* child-key tables, per rule: the rhs nonterminals in order and their
+     count, the tensor/const terminal it adds (at most one in an
+     [incremental_safe] grammar), and the distinct operators it adds
+     ([Tok_neg] counts as [Sub], as in [metrics]) *)
+  r_nts : string list array;
+  r_n_nt : int array;
+  r_leaf : rule_leaf array;
+  r_ops : Ast.op list array;
 }
 
 let depth_static fps = fps.depth_static
@@ -150,6 +165,8 @@ let rule_contribution (r : Cfg.rule) =
       r.rhs
   in
   if n_nt >= 2 then fp_branch :: toks else toks
+
+let rhs_nts (r : Cfg.rule) = List.filter_map (function Cfg.NT n -> Some n | Cfg.T _ -> None) r.rhs
 
 let fingerprints g =
   let n = Cfg.size g in
@@ -201,7 +218,46 @@ let fingerprints g =
         then static := false
     | Cfg.Cat_program | Cfg.Cat_tail -> ())
   done;
-  { mult; addend; d_branch; d_gain; depth_static = !static }
+  let rules = Cfg.rules g in
+  let r_nts = Array.map rhs_nts rules in
+  let r_leaf =
+    Array.map
+      (fun (r : Cfg.rule) ->
+        match
+          List.find_map
+            (function
+              | Cfg.T (Cfg.Tok_tensor (n, idxs)) -> Some (Tensor_leaf ((n, idxs), List.mem "i" idxs))
+              | Cfg.T Cfg.Tok_const -> Some Const_leaf
+              | Cfg.T _ | Cfg.NT _ -> None)
+            r.rhs
+        with
+        | Some l -> l
+        | None -> No_leaf)
+      rules
+  in
+  let r_ops =
+    Array.map
+      (fun (r : Cfg.rule) ->
+        List.fold_left
+          (fun acc sym ->
+            match sym with
+            | Cfg.T (Cfg.Tok_op op) when not (List.mem op acc) -> acc @ [ op ]
+            | Cfg.T Cfg.Tok_neg when not (List.mem Ast.Sub acc) -> acc @ [ Ast.Sub ]
+            | Cfg.T _ | Cfg.NT _ -> acc)
+          [] r.rhs)
+      rules
+  in
+  {
+    mult;
+    addend;
+    d_branch;
+    d_gain;
+    depth_static = !static;
+    r_nts;
+    r_n_nt = Array.map List.length r_nts;
+    r_leaf;
+    r_ops;
+  }
 
 let rec fp_scan fps acc = function
   | Leaf _ | Open _ -> acc
@@ -233,6 +289,8 @@ type macc = {
   mutable m_const_sym : bool;  (** the symbol "Const" was seen (leaf or tensor) *)
   mutable m_n_unique : int;
 }
+
+let const_leaf = ("Const", [])
 
 let macc_add_leaf a n idxs =
   a.m_tensors <- (n, idxs) :: a.m_tensors;
@@ -351,107 +409,177 @@ let annotate g fps x =
     fp = fingerprint fps x;
   }
 
+(* Tensor/constant terminals sit left of every nonterminal, and there is
+   at most one of them: then the child key ([child_key]) is the parent's
+   facts plus one table-driven leaf. *)
 let rule_safe (r : Cfg.rule) =
-  let rec go seen_nt = function
+  let rec go seen_nt seen_leaf = function
     | [] -> true
-    | Cfg.NT _ :: rest -> go true rest
-    | Cfg.T (Cfg.Tok_tensor _ | Cfg.Tok_const) :: rest -> (not seen_nt) && go seen_nt rest
-    | Cfg.T _ :: rest -> go seen_nt rest
+    | Cfg.NT _ :: rest -> go true seen_leaf rest
+    | Cfg.T (Cfg.Tok_tensor _ | Cfg.Tok_const) :: rest ->
+        (not seen_nt) && (not seen_leaf) && go seen_nt true rest
+    | Cfg.T _ :: rest -> go seen_nt seen_leaf rest
   in
-  go false r.rhs
+  go false false r.rhs
 
 let incremental_safe g = Array.for_all rule_safe (Cfg.rules g)
 
-let expand1 x (r : Cfg.rule) =
-  let x', ok = subst_leftmost x (apply_rule r) in
-  assert ok;
-  x'
+(* ---- the push-side child key ----
 
+   A pushed child needs only its f-value: the penalty inputs and g(x).
+   Both follow from the parent's annotation and per-rule tables in
+   scalars, so an incomplete child is scored without building its
+   annotation; the pop rebuilds that with [expand_metrics]. *)
+
+type child_key = {
+  mutable ck_n_tensors : int;
+  mutable ck_n_index_i : int;
+  mutable ck_has_const : bool;
+  mutable ck_n_unique : int;
+  mutable ck_sorted_firsts : bool;
+  mutable ck_n_ops : int;
+  mutable ck_complete : bool;
+}
+
+let child_key_create () =
+  {
+    ck_n_tensors = 0;
+    ck_n_index_i = 0;
+    ck_has_const = false;
+    ck_n_unique = 0;
+    ck_sorted_firsts = true;
+    ck_n_ops = 0;
+    ck_complete = false;
+  }
+
+let child_completes fps (parent : annotated) rid = parent.n_open - 1 + fps.r_n_nt.(rid) = 0
+
+(* top-level, so the per-push count allocates no closure *)
+let rec count_new_ops parent_ops acc = function
+  | [] -> acc
+  | op :: rest -> count_new_ops parent_ops (if List.mem op parent_ops then acc else acc + 1) rest
+
+(* the symbol "Const" counts once toward [n_unique], as in [macc_add_leaf] *)
+let add_const_sym (pm : metrics) k =
+  let const_sym = pm.n_unique > List.length pm.firsts_rev in
+  if not const_sym then k.ck_n_unique <- pm.n_unique + 1
+
+(* [macc_add_leaf] on scalars, for the rule's one table-driven leaf *)
+let child_key fps (parent : annotated) rid k =
+  let pm = parent.metrics in
+  k.ck_n_tensors <- pm.n_tensors;
+  k.ck_n_index_i <- pm.n_index_i;
+  k.ck_has_const <- pm.has_const_leaf;
+  k.ck_n_unique <- pm.n_unique;
+  k.ck_sorted_firsts <- pm.sorted_firsts;
+  (match fps.r_leaf.(rid) with
+  | No_leaf -> ()
+  | Const_leaf ->
+      k.ck_n_tensors <- pm.n_tensors + 1;
+      k.ck_has_const <- true;
+      add_const_sym pm k
+  | Tensor_leaf ((n, _), has_i) ->
+      k.ck_n_tensors <- pm.n_tensors + 1;
+      if has_i then k.ck_n_index_i <- pm.n_index_i + 1;
+      if String.equal n "Const" then add_const_sym pm k
+      else if not (List.mem n pm.firsts_rev) then begin
+        (match pm.firsts_rev with
+        | prev :: _ when String.compare prev n >= 0 -> k.ck_sorted_firsts <- false
+        | _ -> ());
+        k.ck_n_unique <- pm.n_unique + 1
+      end);
+  k.ck_n_ops <- count_new_ops pm.distinct_ops (List.length pm.distinct_ops) fps.r_ops.(rid);
+  k.ck_complete <- child_completes fps parent rid
+
+let rec prepend_n n x acc = if n = 0 then acc else prepend_n (n - 1) x (x :: acc)
+
+(* A child's annotation: the scalar facts from [child_key], the lists
+   from the rule's tables — its one leaf appended, its nonterminals
+   prepended to the parent's remaining opens. *)
 let expand_metrics fps (parent : annotated) (r : Cfg.rule) : annotated =
-  begin
-    let pm = parent.metrics in
-    (* the accumulator resumes from the parent's per-leaf facts;
-       [m_tensors] starts empty so it collects just the rule's new leaves
-       (reversed), keeping the [tensor_leaves] append below cheap *)
-    let a =
+  let rid = r.id in
+  let pm = parent.metrics in
+  let k = child_key_create () in
+  child_key fps parent rid k;
+  let tensor_leaves, firsts_rev =
+    match fps.r_leaf.(rid) with
+    | No_leaf -> (pm.tensor_leaves, pm.firsts_rev)
+    | Const_leaf -> (pm.tensor_leaves @ [ const_leaf ], pm.firsts_rev)
+    | Tensor_leaf (((n, _) as leaf), _) ->
+        ( pm.tensor_leaves @ [ leaf ],
+          if String.equal n "Const" || List.mem n pm.firsts_rev then pm.firsts_rev
+          else n :: pm.firsts_rev )
+  in
+  (* first-appearance order may differ from a fresh scan when an op
+     terminal sits right of a nonterminal (EXPR -> EXPR op EXPR); the
+     penalties only use membership and length, which agree *)
+  let distinct_ops =
+    List.fold_left
+      (fun acc op -> if List.mem op acc then acc else acc @ [ op ])
+      pm.distinct_ops fps.r_ops.(rid)
+  in
+  let head_path, rest_opens, rest_paths =
+    match (parent.opens, parent.open_paths) with
+    | _ :: ro, p :: rp -> (p, ro, rp)
+    | _ -> assert false
+  in
+  (* path count of the node the rule creates (it replaces the head open) *)
+  let p' = if fps.d_branch.(rid) then head_path + 1 else head_path in
+  {
+    metrics =
       {
-        m_tensors = [];
-        m_n_tensors = pm.n_tensors;
-        m_firsts = pm.firsts_rev;
-        m_sorted = pm.sorted_firsts;
-        m_n_index_i = pm.n_index_i;
-        m_has_const = pm.has_const_leaf;
-        m_const_sym = pm.n_unique > List.length pm.firsts_rev;
-        m_n_unique = pm.n_unique;
-      }
-    in
-    let new_ops = ref [] in
-    let new_nts = ref [] in
-    let n_open = ref (parent.n_open - 1) in
-    (* path count of the node the rule creates (it replaces the head open) *)
-    let p' =
-      match parent.open_paths with
-      | [] -> assert false
-      | p :: _ -> if fps.d_branch.(r.id) then p + 1 else p
-    in
-    List.iter
-      (function
-        | Cfg.NT n ->
-            incr n_open;
-            new_nts := n :: !new_nts
-        | Cfg.T (Cfg.Tok_tensor (n, idxs)) -> macc_add_leaf a n idxs
-        | Cfg.T Cfg.Tok_const ->
-            macc_add_leaf a "Const" [];
-            a.m_has_const <- true
-        | Cfg.T (Cfg.Tok_op op) -> if not (List.mem op !new_ops) then new_ops := op :: !new_ops
-        | Cfg.T Cfg.Tok_neg ->
-            if not (List.mem Ast.Sub !new_ops) then new_ops := Ast.Sub :: !new_ops
-        | Cfg.T (Cfg.Tok_assign | Cfg.Tok_lparen | Cfg.Tok_rparen) -> ())
-      r.rhs;
-    let tensor_leaves =
-      match a.m_tensors with [] -> pm.tensor_leaves | l -> pm.tensor_leaves @ List.rev l
-    in
-    (* first-appearance order may differ from a fresh scan when an op
-       terminal sits right of a nonterminal (EXPR -> EXPR op EXPR); the
-       penalties only use membership and length, which agree *)
-    let distinct_ops =
-      List.fold_left
-        (fun acc op -> if List.mem op acc then acc else acc @ [ op ])
-        pm.distinct_ops (List.rev !new_ops)
-    in
-    {
-      metrics =
-        {
-          tensor_leaves;
-          n_tensors = a.m_n_tensors;
-          n_unique = a.m_n_unique;
-          firsts_rev = a.m_firsts;
-          sorted_firsts = a.m_sorted;
-          n_index_i = a.m_n_index_i;
-          has_const_leaf = a.m_has_const;
-          distinct_ops;
-          complete = !n_open = 0;
-        };
-      n_open = !n_open;
-      (* expansion rewrites the leftmost open leaf — the head of
-         [parent.opens] — so the child's ordered open list is the rule's
-         nonterminals followed by the parent's remaining opens *)
-      opens =
-        (match parent.opens with
-        | [] -> assert false
-        | _ :: rest -> List.rev !new_nts @ rest);
-      open_paths =
-        (match parent.open_paths with
-        | [] -> assert false
-        | _ :: rest ->
-            let rec add n acc = if n = 0 then acc else add (n - 1) (p' :: acc) in
-            add (List.length !new_nts) rest);
-      (* only depth-1 items can raise the max: a weight-0 candidate sits at
-         p' ≤ parent.depth (the expanded open's own candidate bounded it) *)
-      depth = (if fps.d_gain.(r.id) && p' + 1 > parent.depth then p' + 1 else parent.depth);
-      fp = (parent.fp * fps.mult.(r.id)) + fps.addend.(r.id);
-    }
-  end
+        tensor_leaves;
+        n_tensors = k.ck_n_tensors;
+        n_unique = k.ck_n_unique;
+        firsts_rev;
+        sorted_firsts = k.ck_sorted_firsts;
+        n_index_i = k.ck_n_index_i;
+        has_const_leaf = k.ck_has_const;
+        distinct_ops;
+        complete = k.ck_complete;
+      };
+    n_open = parent.n_open - 1 + fps.r_n_nt.(rid);
+    (* expansion rewrites the leftmost open leaf — the head of
+       [parent.opens] — so the child's ordered open list is the rule's
+       nonterminals followed by the parent's remaining opens *)
+    opens = (match fps.r_nts.(rid) with [] -> rest_opens | nts -> nts @ rest_opens);
+    open_paths = prepend_n fps.r_n_nt.(rid) p' rest_paths;
+    (* only depth-1 items can raise the max: a weight-0 candidate sits at
+       p' ≤ parent.depth (the expanded open's own candidate bounded it) *)
+    depth = (if fps.d_gain.(rid) && p' + 1 > parent.depth then p' + 1 else parent.depth);
+    fp = (parent.fp * fps.mult.(rid)) + fps.addend.(rid);
+  }
+
+(* g(x) of a child is Σ −log₂ h over its open leaves, left to right: the
+   applied rule's nonterminals, then the parent's opens after the head.
+   Summing the same values in the same order keeps it float-for-float
+   [g_cost] on the materialized child. *)
+type g_tables = { rule_h : float array array; h_of : (string, float) Hashtbl.t }
+
+let g_tables p =
+  let g = Pcfg.cfg p in
+  let h_of = Hashtbl.create 16 in
+  List.iter (fun nt -> Hashtbl.replace h_of nt (Pcfg.h_cost p nt)) (Cfg.nonterminals g);
+  let rule_h =
+    Array.map (fun r -> Array.of_list (List.map (Hashtbl.find h_of) (rhs_nts r))) (Cfg.rules g)
+  in
+  { rule_h; h_of }
+
+let g_rest t (parent : annotated) =
+  match parent.opens with
+  | [] -> [||]
+  | _ :: rest -> Array.of_list (List.map (Hashtbl.find t.h_of) rest)
+
+let g_child t rest rid =
+  let hs = t.rule_h.(rid) in
+  let acc = ref 0. in
+  for i = 0 to Array.length hs - 1 do
+    acc := !acc +. hs.(i)
+  done;
+  for i = 0 to Array.length rest - 1 do
+    acc := !acc +. rest.(i)
+  done;
+  !acc
 
 (* ---- rebuilding the template AST from a complete tree ---- *)
 

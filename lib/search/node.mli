@@ -29,13 +29,9 @@ val expansions : Cfg.t -> t -> (Cfg.rule * t) list
 val expand1 : t -> Cfg.rule -> t
 
 (** [g_cost p x] — the heuristic g(x): Σ over open leaves of −log₂ h(nt)
-    (§5.1), accumulated left to right. 0 when complete. *)
+    (§5.1), accumulated left to right. 0 when complete. The searches use
+    {!g_child}, which is float-for-float the same sum. *)
 val g_cost : Pcfg.t -> t -> float
-
-(** [g_cost_opens p opens] — the same sum over an ordered open-leaf list
-    (see {!annotated}); float-for-float identical to [g_cost] on the tree
-    the list came from, in O(open leaves) instead of O(tree). *)
-val g_cost_opens : Pcfg.t -> string list -> float
 
 (** Expression depth as defined in §5.1: tensor/constant leaves (and open
     expression-valued leaves) have depth 1; a node of an expression-valued
@@ -97,11 +93,14 @@ type metrics = {
 val metrics : Cfg.t -> t -> metrics
 
 (** Metrics plus the open leaves — count and ordered (left-to-right)
-    nonterminal names — and the running fingerprint, carried in the A*
-    queue payload so neither pops nor the g(x) of a push rescan the
-    tree. [opens] and [fp] are maintained incrementally for every
-    grammar: expansion always rewrites the leftmost open leaf, i.e. the
-    list's head / the next preorder slot.
+    nonterminal names — and the running fingerprint: what a popped A*
+    entry is handled with, so no pop rescans the tree. An incomplete
+    child's annotation is not built at push time — its frontier entry
+    keeps the parent's annotation and the rule, scored through
+    {!child_key} and {!g_child}, and the pop rebuilds it with
+    {!expand_metrics}. [opens] and [fp] are maintained incrementally for
+    every grammar: expansion always rewrites the leftmost open leaf, i.e.
+    the list's head / the next preorder slot.
 
     [open_paths] pairs each open leaf with its branching-ancestor count
     (the number of {e depth-adding} rule applications on the path to the
@@ -126,22 +125,65 @@ type annotated = {
 (** Full-scan annotation (the initial node, and the fallback). *)
 val annotate : Cfg.t -> fingerprints -> t -> annotated
 
-(** Does every rule keep tensor/constant terminals left of any
-    nonterminal in its rhs? True for all grammars this project generates;
-    precondition for the incremental path of [expand_metrics]. Check once
-    per search. *)
+(** Does every rule hold at most one tensor/constant terminal, left of
+    any nonterminal in its rhs? True for all grammars this project
+    generates; precondition for [expand_metrics] and {!child_key}, the
+    searches' one incremental path. Check once per search. *)
 val incremental_safe : Cfg.t -> bool
 
 (** [expand_metrics fps parent r] — the annotation of the tree obtained
     from [parent]'s tree by applying rule [r] at the leftmost open leaf,
-    computed from [parent]'s annotation and [r]'s rhs alone — O(|rhs| +
-    tensor leaves), no child tree needed, so pushes don't materialize
-    trees at all. Requires an {!incremental_safe} grammar; the searches
-    fall back to [annotate] on the materialized child otherwise. Equal
+    computed from [parent]'s annotation and [r]'s per-rule tables alone
+    — {!child_key} plus the rule's list contributions, no child tree
+    needed. The searches call it for
+    complete children at push time and for every other entry at its
+    pop. Requires an {!incremental_safe} grammar; the searches fall back
+    to [annotate] on the materialized child otherwise. Equal
     to [annotate] on that child except that [distinct_ops] may list the
     same ops in a different first-appearance order (the penalties use
     only membership/length). *)
 val expand_metrics : fingerprints -> annotated -> Cfg.rule -> annotated
+
+(** The penalty inputs of a child — {!metrics} minus the lists: what
+    {!Penalty.score_key} reads. A caller-owned scratch record, refilled
+    per push by {!child_key}. *)
+type child_key = {
+  mutable ck_n_tensors : int;
+  mutable ck_n_index_i : int;
+  mutable ck_has_const : bool;
+  mutable ck_n_unique : int;
+  mutable ck_sorted_firsts : bool;
+  mutable ck_n_ops : int;  (** length of [distinct_ops] *)
+  mutable ck_complete : bool;
+}
+
+val child_key_create : unit -> child_key
+
+(** [child_key fps parent rid k] fills [k] with the penalty inputs of the
+    tree obtained by applying rule [rid] at [parent]'s leftmost open
+    leaf, from [parent]'s annotation and per-rule tables alone: no
+    allocation, no child tree, no child annotation. Equal field for field
+    to [metrics] of that child. Requires an {!incremental_safe} grammar. *)
+val child_key : fingerprints -> annotated -> int -> child_key -> unit
+
+(** [child_completes fps parent rid] — [ck_complete] alone: applying
+    [rid] closes [parent]'s last open leaf. *)
+val child_completes : fingerprints -> annotated -> int -> bool
+
+(** Per-search g(x) tables: −log₂ h of every rule's rhs nonterminals, in
+    rhs order, and of every nonterminal. *)
+type g_tables
+
+val g_tables : Pcfg.t -> g_tables
+
+(** [g_rest t parent] — the h-costs of [parent]'s opens after the head:
+    the open leaves every child keeps. Once per pop. *)
+val g_rest : g_tables -> annotated -> float array
+
+(** [g_child t rest rid] — g(x) of the child applying rule [rid]: the
+    rule's h-costs, then [rest], summed left to right. Float-for-float
+    {!g_cost} on the materialized child. *)
+val g_child : g_tables -> float array -> int -> float
 
 (** [to_program g x] rebuilds the TACO template AST from a complete tree.
     [None] if [x] has open leaves or an unrecognized rule shape. *)

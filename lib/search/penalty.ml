@@ -66,14 +66,18 @@ let compile ctx =
     k_b2 = on B2;
   }
 
-let score_compiled k (m : Node.metrics) ~program =
-  let too_few = 2 * List.length m.distinct_ops < k.k_n_ops in
+(* The arithmetic on scalar fields, shared by both entry points below:
+   [score_compiled] reads them off a full [Node.metrics], [score_key]
+   off the push-side [Node.child_key], which has no AST. [a4_hit] is the
+   structural check on the rebuilt AST, already gated on a4 and
+   completeness. *)
+let score_fields k ~n_tensors ~n_index_i ~has_const_leaf ~n_unique ~sorted_firsts ~n_ops ~complete
+    ~a4_hit =
+  let too_few = 2 * n_ops < k.k_n_ops in
   let a1 =
     (* grammar includes a constant expression, length exceeds 3, and the
        expression has poor index variety or lacks the constant *)
-    if
-      k.k_a1 && k.k_const && m.n_tensors > 3 && (m.n_index_i < 2 || not m.has_const_leaf)
-    then 10.
+    if k.k_a1 && k.k_const && n_tensors > 3 && (n_index_i < 2 || not has_const_leaf) then 10.
     else 0.
   in
   let a2 =
@@ -81,10 +85,7 @@ let score_compiled k (m : Node.metrics) ~program =
        length (a symbol may be used several times: (b-c)*(b-c) has three
        unique symbols). A partial template can still grow, so it is only
        penalized once it is already too long. *)
-    if
-      k.k_a2
-      && ((m.complete && m.n_unique <> k.k_len_l)
-         || ((not m.complete) && m.n_unique > k.k_len_l))
+    if k.k_a2 && ((complete && n_unique <> k.k_len_l) || ((not complete) && n_unique > k.k_len_l))
     then 100.
     else 0.
   in
@@ -95,16 +96,27 @@ let score_compiled k (m : Node.metrics) ~program =
      Const itself does not participate. The point of the rule is to avoid
      enumerating templates that differ only by symbol permutation (§5.1).
      [Node] maintains the answer in [sorted_firsts], O(1) per leaf. *)
-  let a3 = if k.k_a3 && not m.sorted_firsts then infinity else 0. in
-  let a4 =
-    match program with
-    | Some p when k.k_a4 && m.complete && same_operand_addsubdiv p.Ast.rhs -> infinity
-    | _ -> 0.
-  in
-  let a5 = if k.k_a5 && m.complete && too_few then infinity else 0. in
-  let b1 = if k.k_b1 && not m.sorted_firsts then 100. else 0. in
-  let b2 = if k.k_b2 && m.n_tensors >= k.k_len_l && too_few then infinity else 0. in
+  let a3 = if k.k_a3 && not sorted_firsts then infinity else 0. in
+  let a4 = if a4_hit then infinity else 0. in
+  let a5 = if k.k_a5 && complete && too_few then infinity else 0. in
+  let b1 = if k.k_b1 && not sorted_firsts then 100. else 0. in
+  let b2 = if k.k_b2 && n_tensors >= k.k_len_l && too_few then infinity else 0. in
   a1 +. a2 +. a3 +. a4 +. a5 +. b1 +. b2
+
+let score_compiled k (m : Node.metrics) ~program =
+  let a4_hit =
+    match program with
+    | Some p -> k.k_a4 && m.complete && same_operand_addsubdiv p.Ast.rhs
+    | None -> false
+  in
+  score_fields k ~n_tensors:m.n_tensors ~n_index_i:m.n_index_i ~has_const_leaf:m.has_const_leaf
+    ~n_unique:m.n_unique ~sorted_firsts:m.sorted_firsts ~n_ops:(List.length m.distinct_ops)
+    ~complete:m.complete ~a4_hit
+
+let score_key k (key : Node.child_key) =
+  score_fields k ~n_tensors:key.ck_n_tensors ~n_index_i:key.ck_n_index_i
+    ~has_const_leaf:key.ck_has_const ~n_unique:key.ck_n_unique ~sorted_firsts:key.ck_sorted_firsts
+    ~n_ops:key.ck_n_ops ~complete:key.ck_complete ~a4_hit:false
 
 let score ctx m ~program = score_compiled (compile ctx) m ~program
 

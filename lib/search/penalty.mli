@@ -33,6 +33,13 @@ val compile : ctx -> compiled
     a4's structural "same tensor under +,−,/" check needs it. *)
 val score_compiled : compiled -> Node.metrics -> program:Stagg_taco.Ast.program option -> float
 
+(** [score_key k key] — the same total from a push-side {!Node.child_key},
+    with no program: bit-identical to [score_compiled ~program:None] on
+    the metrics of the child the key describes. The A* scores incomplete
+    children with it, before (and mostly instead of) building their
+    annotation. *)
+val score_key : compiled -> Node.child_key -> float
+
 (** [score ctx m ~program] — [score_compiled] after a one-shot
     {!compile}; for tests and one-off calls. *)
 val score : ctx -> Node.metrics -> program:Stagg_taco.Ast.program option -> float

@@ -35,14 +35,9 @@ val push_seq : 'a t -> float -> int -> 'a -> unit
     priority. [None] on an empty queue. *)
 val pop : 'a t -> (float * 'a) option
 
-(** [peek q] returns a minimum element without removing it. *)
-val peek : 'a t -> (float * 'a) option
-
 (** The minimum element's priority / tie-break sequence, without
     allocating. Undefined (raises) on an empty queue — guard with
     {!is_empty}. *)
 val top_prio : 'a t -> float
 
 val top_seq : 'a t -> int
-
-val clear : 'a t -> unit

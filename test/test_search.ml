@@ -92,18 +92,41 @@ let test_remove_tail () =
    with a full rescan at every expansion, on random walks through top-down
    and bottom-up grammars (distinct_ops compared as sets — the incremental
    path may discover the same ops in a different first-appearance order) *)
-let test_incremental_metrics_agree () =
-  let grammars =
+(* Penalty contexts the walk below scores every child under: every
+   top-down and every bottom-up criterion, with a constant in the grammar
+   so a1 can fire. *)
+let walk_penalties dims =
+  let all_ops = [ Ast.Add; Ast.Sub; Ast.Mul; Ast.Div ] in
+  List.map Penalty.compile
     [
-      ("gemv td", gemv_grammar ());
-      ( "multi td",
-        Gen_topdown.generate ~dim_list:[ 1; 2; 1; 0 ]
-          ~templates:
-            (templates_of
-               [ "a(i) = b(i,j) * c(j)"; "a(i) = b(i,j) * c(j) + d"; "a(i) = 2 * c(i)" ]) );
-      ( "dot bu",
-        Gen_bottomup.generate ~dim_list:[ 0; 1; 1 ]
-          ~templates:(templates_of [ "a = b(i) * c(i)" ]) );
+      { Penalty.dim_list = dims; ops_available = all_ops; grammar_has_const = true;
+        enabled = Penalty.all_topdown };
+      { Penalty.dim_list = dims; ops_available = [ Ast.Mul ]; grammar_has_const = false;
+        enabled = Penalty.all_topdown };
+      { Penalty.dim_list = dims; ops_available = all_ops; grammar_has_const = true;
+        enabled = Penalty.all_bottomup };
+    ]
+
+let bits = Int64.bits_of_float
+
+let test_incremental_metrics_agree () =
+  let weighted g templates = Pcfg.of_weights g (Derive.weights_of_templates g templates) in
+  let grammars =
+    (* label, grammar, pcfg, dimension list, top-down *)
+    let gemv = gemv_grammar () in
+    let multi_templates =
+      templates_of [ "a(i) = b(i,j) * c(j)"; "a(i) = b(i,j) * c(j) + d"; "a(i) = 2 * c(i)" ]
+    in
+    let multi = Gen_topdown.generate ~dim_list:[ 1; 2; 1; 0 ] ~templates:multi_templates in
+    let dot_templates = templates_of [ "a = b(i) * c(i)" ] in
+    let dot = Gen_bottomup.generate ~dim_list:[ 0; 1; 1 ] ~templates:dot_templates in
+    let full_td = Taco_grammar.generate () and full_bu = Gen_bottomup.generate_full () in
+    [
+      ("gemv td", gemv, weighted gemv gemv_templates, [ 1; 2; 1 ], true);
+      ("multi td", multi, weighted multi multi_templates, [ 1; 2; 1; 0 ], true);
+      ("dot bu", dot, weighted dot dot_templates, [ 0; 1; 1 ], false);
+      ("full td", full_td, Pcfg.uniform full_td, [ 1; 2; 1 ], true);
+      ("full bu", full_bu, Pcfg.uniform full_bu, [ 1; 2; 1 ], false);
     ]
   in
   let seed = ref 20250806 in
@@ -112,22 +135,30 @@ let test_incremental_metrics_agree () =
     !seed mod bound
   in
   let sorted_ops m = List.sort compare m.Node.distinct_ops in
+  let key = Node.child_key_create () in
   List.iter
-    (fun (label, g) ->
+    (fun (label, g, pcfg, dims, top_down) ->
       let safe = Node.incremental_safe g in
       check_bool (label ^ ": grammar is incremental-safe") true safe;
       let fps = Node.fingerprints g in
+      (* g is also checked under irregular rule weights, whose h-costs
+         are not dyadic: a sum in any other order would differ in the
+         last bits *)
+      let irregular =
+        Pcfg.of_weights g (Array.init (Cfg.size g) (fun _ -> 1. +. (float (next_int 1000) /. 7.)))
+      in
+      let g_checks = List.map (fun p -> (p, Node.g_tables p)) [ pcfg; irregular ] in
+      let penalties = walk_penalties dims in
       (* the top-down grammars carry static depth tables; the right-linear
-         bottom-up one must be rejected (a TAIL's depth depends on ε) *)
-      check_bool
-        (label ^ ": depth-static iff top-down")
-        (label <> "dot bu") (Node.depth_static fps);
+         bottom-up ones must be rejected (a TAIL's depth depends on ε) *)
+      check_bool (label ^ ": depth-static iff top-down") top_down (Node.depth_static fps);
       for _walk = 1 to 20 do
         let rec go ann x steps =
           if steps > 0 then
             match Node.expansions g x with
             | [] -> ()
             | exps ->
+                let rests = List.map (fun (_, gt) -> Node.g_rest gt ann) g_checks in
                 List.iter
                   (fun ((r : Cfg.rule), x') ->
                     let inc = Node.expand_metrics fps ann r in
@@ -162,7 +193,35 @@ let test_incremental_metrics_agree () =
                     if Node.depth_static fps then begin
                       check_int (label ^ ": depth") (Node.depth g x') inc.Node.depth;
                       check_int (label ^ ": depth scan") (Node.depth g x') scan.Node.depth
-                    end)
+                    end;
+                    (* the push-side scalar key: the child's penalty and
+                       g(x) without its annotation, bit for bit the
+                       rescan's *)
+                    Node.child_key fps ann r.id key;
+                    check_int (label ^ ": key n_tensors") sm.Node.n_tensors key.Node.ck_n_tensors;
+                    check_int (label ^ ": key n_index_i") sm.Node.n_index_i key.Node.ck_n_index_i;
+                    check_bool (label ^ ": key has_const") sm.Node.has_const_leaf
+                      key.Node.ck_has_const;
+                    check_int (label ^ ": key n_unique") sm.Node.n_unique key.Node.ck_n_unique;
+                    check_bool (label ^ ": key sorted_firsts") sm.Node.sorted_firsts
+                      key.Node.ck_sorted_firsts;
+                    check_int (label ^ ": key n_ops") (List.length sm.Node.distinct_ops)
+                      key.Node.ck_n_ops;
+                    check_bool (label ^ ": key complete") sm.Node.complete key.Node.ck_complete;
+                    check_bool (label ^ ": child_completes") sm.Node.complete
+                      (Node.child_completes fps ann r.id);
+                    List.iter
+                      (fun k ->
+                        check_bool (label ^ ": key penalty") true
+                          (Int64.equal
+                             (bits (Penalty.score_compiled k sm ~program:None))
+                             (bits (Penalty.score_key k key))))
+                      penalties;
+                    List.iter2
+                      (fun (p, gt) rest ->
+                        check_bool (label ^ ": key g") true
+                          (Int64.equal (bits (Node.g_cost p x')) (bits (Node.g_child gt rest r.id))))
+                      g_checks rests)
                   exps;
                 let r, x' = List.nth exps (next_int (List.length exps)) in
                 go (Node.expand_metrics fps ann r) x' (steps - 1)
@@ -415,6 +474,32 @@ let test_search_dedup () =
   | _ -> ());
   check_int "no duplicate validations" 0 !dups
 
+(* A rule carrying two tensor terminals breaks the one-leaf child key:
+   the grammar must be rejected as incremental-unsafe, and the searches'
+   full-annotation fallback must still find the target. *)
+let test_two_token_rule_fallback () =
+  let t n idxs = Cfg.T (Cfg.Tok_tensor (n, idxs)) in
+  let g =
+    Cfg.make ~start:"PROGRAM"
+      ~categories:
+        [ ("PROGRAM", Cfg.Cat_program); ("EXPR", Cfg.Cat_expr); ("OP", Cfg.Cat_op) ]
+      [
+        ("PROGRAM", [ t "a" [ "i" ]; Cfg.T Cfg.Tok_assign; Cfg.NT "EXPR" ]);
+        ("EXPR", [ Cfg.NT "EXPR"; Cfg.NT "OP"; Cfg.NT "EXPR" ]);
+        ("EXPR", [ t "b" [ "i" ] ]);
+        ("EXPR", [ t "c" [ "i" ] ]);
+        (* the two-token rule: b(i) OP c(i) in one step *)
+        ("EXPR", [ t "b" [ "i" ]; Cfg.NT "OP"; t "c" [ "i" ] ]);
+        ("OP", [ Cfg.T (Cfg.Tok_op Ast.Add) ]);
+        ("OP", [ Cfg.T (Cfg.Tok_op Ast.Mul) ]);
+      ]
+  in
+  check_bool "two-token rule is incremental-unsafe" false (Node.incremental_safe g);
+  let pctx = ctx ~enabled:[] ~dims:[ 1; 1; 1 ] ~ops:[ Ast.Add; Ast.Mul ] () in
+  match search_for "a(i) = b(i) * c(i)" (Pcfg.uniform g) pctx with
+  | Astar.Solved _ -> ()
+  | _ -> Alcotest.fail "fallback search did not find b(i) * c(i)"
+
 let () =
   Alcotest.run "stagg_search"
     [
@@ -446,5 +531,7 @@ let () =
           Alcotest.test_case "bottom-up cannot right-nest" `Quick test_bottomup_cannot_nest;
           Alcotest.test_case "duplicate templates validated once" `Quick test_search_dedup;
           Alcotest.test_case "timeout fires on a 64-pop poll boundary" `Quick test_timeout_poll;
+          Alcotest.test_case "two-token rule falls back to annotate" `Quick
+            test_two_token_rule_fallback;
         ] );
     ]
