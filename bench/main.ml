@@ -481,12 +481,12 @@ let run_serve_load ~jobs ~json_file () =
 (* [--oracle] steers only --smoke: the campaign carries its own Trace and
    Trace+LLM rows. *)
 let run_campaign ~skip_ablations ~skip_bechamel ~(flags : Method_flags.t) ~jobs ~json_file =
-  let analysis = flags.analysis and batched_validate = flags.batched_validate in
+  let analysis = flags.analysis in
   let progress msg = Printf.eprintf "[bench] %s\n%!" msg in
   let t0 = Unix.gettimeofday () in
   let runs =
-    if skip_ablations then Experiments.run_core ~progress ~jobs ~analysis ~batched_validate ()
-    else Experiments.run_all ~progress ~jobs ~analysis ~batched_validate ()
+    if skip_ablations then Experiments.run_core ~progress ~jobs ~analysis ()
+    else Experiments.run_all ~progress ~jobs ~analysis ()
   in
   Printf.printf "Guided Tensor Lifting — experiment harness (suite of %d queries, seed %d%s)\n\n"
     (List.length Stagg_benchsuite.Suite.all)

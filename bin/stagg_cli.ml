@@ -126,7 +126,7 @@ let analyze_cmd =
             let q = Stagg.Pipeline.query_of_bench m b in
             let consts = Stagg_minic.Ast.constants (Bench.func b) in
             (match Stagg.Pipeline.prune_of m q ~consts prep with
-            | None -> Printf.printf "grammar pruning: off (analysis or fingerprint dedup disabled)\n"
+            | None -> Printf.printf "grammar pruning: off (analysis disabled)\n"
             | Some pr ->
                 Printf.printf "grammar pruning (%s): %d/%d rules doomed%s\n" m.label
                   (Stagg_grammar.Prune.n_doomed pr) (Stagg_grammar.Prune.n_rules pr)
@@ -174,19 +174,16 @@ let jobs_arg =
 
 let suite_cmd =
   let run meth jobs (flags : Method_flags.t) =
-    let batched = flags.batched_validate in
     let results =
       match meth with
       | "llm" ->
-          Stagg_baselines.Llm_only.run_suite ~jobs ~batched_validate:batched ~seed:20250604
-            Suite.all
+          Stagg_baselines.Llm_only.run_suite ~jobs ~seed:20250604 Suite.all
       | "c2taco" ->
           Stagg_baselines.C2taco.run_suite ~jobs ~seed:20250604 ~heuristics:true Suite.all
       | "c2taco-noh" ->
           Stagg_baselines.C2taco.run_suite ~jobs ~seed:20250604 ~heuristics:false Suite.all
       | "tenspiler" ->
-          Stagg_baselines.Tenspiler.run_suite ~jobs ~batched_validate:batched ~seed:20250604
-            Suite.real_world
+          Stagg_baselines.Tenspiler.run_suite ~jobs ~seed:20250604 Suite.real_world
       | m ->
           Stagg.Pipeline.run_suite ~jobs (Method_flags.apply flags (method_of_string m)) Suite.all
     in

@@ -79,7 +79,7 @@ let library =
 let parsed_library =
   lazy (List.map Stagg_taco.Parser.parse_program_exn library)
 
-let run ?(batched_validate = true) ~seed (b : Bench.t) : Stagg.Result_.t =
+let run ~seed (b : Bench.t) : Stagg.Result_.t =
   let started = Unix.gettimeofday () in
   let validate_s = ref 0. and verify_s = ref 0. and instantiations = ref 0 in
   let finish ~solved ~solution ~attempts ~failure =
@@ -133,7 +133,7 @@ let run ?(batched_validate = true) ~seed (b : Bench.t) : Stagg.Result_.t =
             let t0 = Unix.gettimeofday () in
             let sol, n =
               Validator.validate_counted ~signature:b.signature ~checker ~consts:[] ~verify
-                ~memo_key ~batched:batched_validate template
+                ~memo_key template
             in
             validate_s := !validate_s +. (Unix.gettimeofday () -. t0);
             instantiations := !instantiations + n;
@@ -147,8 +147,8 @@ let run ?(batched_validate = true) ~seed (b : Bench.t) : Stagg.Result_.t =
           finish ~solved:false ~solution:None ~attempts:!attempts
             ~failure:(Some "no library template matches"))
 
-let run_suite ?jobs ?batched_validate ~seed benches =
+let run_suite ?jobs ~seed benches =
   (* force the template library before fanning out: concurrent first
      forcing of a lazy from several domains raises [Lazy.Undefined] *)
   ignore (Lazy.force parsed_library);
-  Pool.map ?jobs (run ?batched_validate ~seed) benches
+  Pool.map ?jobs (run ~seed) benches

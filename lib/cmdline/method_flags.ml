@@ -1,7 +1,7 @@
 open Cmdliner
 module Method_ = Stagg.Method_
 
-type t = { analysis : bool; batched_validate : bool; oracle : Method_.oracle option }
+type t = { analysis : bool; oracle : Method_.oracle option }
 
 let no_analysis =
   Arg.(
@@ -11,17 +11,6 @@ let no_analysis =
           "Disable the static liftability analysis (fail-fast and search pruning). \
            Solved/attempt outcomes are byte-identical either way; this is the \
            differential-testing baseline.")
-
-let batched_validate =
-  Arg.(
-    value
-    & opt (enum [ ("on", true); ("off", false) ]) true
-    & info [ "batched-validate" ] ~docv:"MODE"
-        ~doc:
-          "Template-level compilation in the validator: $(b,on) (default) compiles each \
-           template once and rebinds per substitution, $(b,off) falls back to per-candidate \
-           instantiate+compile. Solutions and instantiation counts are byte-identical either \
-           way; $(b,off) is the differential baseline.")
 
 let oracle =
   Arg.(
@@ -46,14 +35,12 @@ let oracle =
 
 let term =
   Term.(
-    const (fun no_analysis batched_validate oracle ->
-        { analysis = not no_analysis; batched_validate; oracle })
-    $ no_analysis $ batched_validate $ oracle)
+    const (fun no_analysis oracle -> { analysis = not no_analysis; oracle })
+    $ no_analysis $ oracle)
 
 let apply f (m : Method_.t) =
   {
     m with
     analysis = m.analysis && f.analysis;
-    batched_validate = m.batched_validate && f.batched_validate;
     oracle = Option.value f.oracle ~default:m.oracle;
   }

@@ -1,10 +1,9 @@
 (** The method flags shared by the [stagg] CLI and the bench harness:
-    [--no-analysis], [--batched-validate on|off] and [--oracle]. A bad
+    [--no-analysis] and [--oracle]. A bad
     value is a cmdliner usage error. *)
 
 type t = {
   analysis : bool;  (** [false] under [--no-analysis] *)
-  batched_validate : bool;  (** [false] under [--batched-validate off] *)
   oracle : Stagg.Method_.oracle option;  (** [None]: keep the method's own oracle *)
 }
 

@@ -28,7 +28,6 @@ type t = {
   penalties : Penalty.criterion list;
   budget : Astar.budget;
   max_depth : int;  (** top-down depth limit (§5.1) *)
-  dedup : Astar.dedup;  (** frontier/seen dedup scheme (fingerprints by default) *)
   verify : bool;  (** bounded verification of validated candidates (§7) *)
   analysis : bool;
       (** static liftability analysis: fail fast on unliftable kernels and
@@ -36,12 +35,6 @@ type t = {
           outcomes are byte-identical either way (only expansions/time
           drop); [false] reproduces the pre-analysis behaviour for
           differential testing. *)
-  batched_validate : bool;
-      (** template-level compilation in the validator: compile each popped
-          template once and [rebind] per substitution (default). Solutions,
-          counts and memo keys are byte-identical either way; [false] forces
-          the per-candidate instantiate + compile path for the on/off
-          differential. *)
   seed : int;  (** drives the mock LLM and example generation *)
   oracle : oracle;
       (** where candidate templates come from ({!Oracle_llm} by default).
@@ -62,10 +55,8 @@ let base search grammar penalties label =
     penalties;
     budget = default_budget;
     max_depth = 6;
-    dedup = Astar.Fingerprint;
     verify = true;
     analysis = true;
-    batched_validate = true;
     seed = 20250604;
     oracle = Oracle_llm;
   }

@@ -228,7 +228,7 @@ let facts_warnings (q : query) (facts : Stagg_minic.Facts.t) ~(dim_list : int li
 
 let prune_of (m : Method_.t) (q : query) ~(consts : 'a list) (prep : prepared) :
     Stagg_grammar.Prune.t option =
-  if not (m.analysis && m.dedup = Astar.Fingerprint) then None
+  if not m.analysis then None
   else
     let module Sig = Stagg_minic.Signature in
     Some
@@ -335,7 +335,7 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
             let t0 = Unix.gettimeofday () in
             let sol, n =
               Validator.validate_counted ~signature:q.signature ~checker ~consts ~verify
-                ~memo_key ~batched:m.batched_validate template
+                ~memo_key template
             in
             validate_s := !validate_s +. (Unix.gettimeofday () -. t0);
             instantiations := !instantiations + n;
@@ -349,10 +349,10 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
             match m.search with
             | Method_.Top_down ->
                 Astar.search_topdown ~pcfg:prep.pcfg ~penalty_ctx:prep.penalty_ctx
-                  ~max_depth:m.max_depth ~dedup:m.dedup ?prune ~budget:m.budget ~validate ()
+                  ~max_depth:m.max_depth ?prune ~budget:m.budget ~validate ()
             | Method_.Bottom_up ->
                 Astar.search_bottomup ~pcfg:prep.pcfg ~penalty_ctx:prep.penalty_ctx
-                  ~dim_list:prep.dim_list ~dedup:m.dedup ?prune ~budget:m.budget ~validate ()
+                  ~dim_list:prep.dim_list ?prune ~budget:m.budget ~validate ()
           in
           let stats = Astar.stats_of outcome in
           let finish =

@@ -59,16 +59,12 @@ type runs = {
     pruning) on the STAGG methods; solved/attempt outcomes are
     byte-identical either way — only expansions and time drop — so
     [~analysis:false] is the differential baseline behind the bench
-    driver's [--no-analysis] flag. [batched_validate] (default [true])
-    selects template-level compilation in the validator — a second knob
-    with the same contract: solved/attempt/instantiation outcomes are
-    byte-identical on and off (the [@smoke] differential enforces it). *)
+    driver's [--no-analysis] flag. *)
 val run_all :
   ?seed:int ->
   ?progress:(string -> unit) ->
   ?jobs:int ->
   ?analysis:bool ->
-  ?batched_validate:bool ->
   unit ->
   runs
 
@@ -78,7 +74,6 @@ val run_core :
   ?progress:(string -> unit) ->
   ?jobs:int ->
   ?analysis:bool ->
-  ?batched_validate:bool ->
   unit ->
   runs
 

@@ -1,6 +1,5 @@
 open Stagg_util
 open Stagg_grammar
-module Pretty = Stagg_taco.Pretty
 
 type budget = { max_attempts : int; max_expansions : int; timeout_s : float }
 
@@ -28,8 +27,6 @@ type 'sol outcome =
   | Budget_exceeded of stop_reason * stats
 
 let stats_of = function Solved (_, s) | Exhausted s | Budget_exceeded (_, s) -> s
-
-type dedup = Fingerprint | Pretty_key
 
 (* ---- the admission ledger ----
 
@@ -192,9 +189,7 @@ type 'sol engine = {
   validate : Stagg_taco.Ast.program -> 'sol option;
   frontier : item Pqueue.t;  (** priority f(x) *)
   sup : Ledger.t;  (** admission-suppressed (f, seq, fp, guards) keys *)
-  dedup : dedup;
   seen_fp : Fpset.t;  (** validated templates, fingerprints *)
-  seen_str : (string, unit) Hashtbl.t;  (** validated templates, printed form (legacy mode) *)
   pen_memo : (int, float) Hashtbl.t;
       (** fingerprint → penalty a complete template was pushed with; lets a
           duplicate's ghost reconstruct the same f without rescoring *)
@@ -203,7 +198,7 @@ type 'sol engine = {
   gt : Node.g_tables;  (** g(x) of a child from per-rule h-costs *)
   key : Node.child_key;  (** push-side scratch, refilled per child *)
   inc_safe : bool;  (** grammar admits incremental metrics *)
-  prune : Prune.t option;  (** analysis-guided pruning (Fingerprint mode only) *)
+  prune : Prune.t option;  (** analysis-guided pruning *)
   started : float;
   mutable eseq : int;  (** push sequence shared by [frontier] and [sup] *)
   mutable attempts : int;
@@ -226,7 +221,7 @@ let qpush e f item =
   let n = Pqueue.length e.frontier in
   if n > e.frontier_peak then e.frontier_peak <- n
 
-let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
+let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~prune =
   let g = Pcfg.cfg pcfg in
   let x0 = Node.initial g in
   let rule_cost = Array.init (Cfg.size g) (fun id -> Pcfg.cost pcfg (Cfg.rule g id)) in
@@ -238,18 +233,14 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune =
       validate;
       frontier = Pqueue.create ~dummy:Ghost;
       sup = Ledger.create ();
-      dedup;
       seen_fp = Fpset.create ();
-      seen_str = Hashtbl.create 64;
       pen_memo = Hashtbl.create 64;
       fps;
       rule_cost;
       gt = Node.g_tables pcfg;
       key = Node.child_key_create ();
       inc_safe = Node.incremental_safe g;
-      (* the ledger drain replays the duplicate protocol by marking
-         [seen_fp], so pruning only composes with fingerprint dedup *)
-      prune = (if dedup = Fingerprint then prune else None);
+      prune;
       started = Unix.gettimeofday ();
       eseq = 0;
       attempts = 0;
@@ -323,24 +314,12 @@ let baseline_pops_suppressed e =
 (* Validate an already-rebuilt program. Duplicate templates — the EXPR OP
    EXPR rule makes the grammar ambiguous, and associative duplicates print
    identically — are validated once. The probe keys on the tree's
-   fingerprint (O(1), no printing); [Pretty_key] mode keeps the printed
-   form as the key for differential testing against the legacy scheme. *)
+   fingerprint (O(1), no printing). *)
 let try_validate e ~fp (program : Stagg_taco.Ast.program option) : 'sol option =
   match program with
   | None -> None
   | Some p ->
-      let dup =
-        match e.dedup with
-        | Fingerprint -> Fpset.check_add e.seen_fp fp
-        | Pretty_key ->
-            let key = Pretty.program_to_string p in
-            if Hashtbl.mem e.seen_str key then true
-            else begin
-              Hashtbl.add e.seen_str key ();
-              false
-            end
-      in
-      if dup then None
+      if Fpset.check_add e.seen_fp fp then None
       else begin
         e.attempts <- e.attempts + 1;
         e.validate p
@@ -354,7 +333,7 @@ let prune_step e pst (r : Cfg.rule) =
 let push_built e ~c ~pst ~g_x x' (ann : Node.annotated) program =
   let pen = Penalty.score_compiled e.penalty ann.Node.metrics ~program in
   if pen < infinity then begin
-    if e.dedup = Fingerprint && ann.Node.metrics.complete then
+    if ann.Node.metrics.complete then
       Hashtbl.replace e.pen_memo ann.Node.fp pen;
     qpush e (c +. g_x +. pen) (Built { c; tree = x'; ann; program; pst })
   end
@@ -370,7 +349,7 @@ let push_complete e g ~c' ~pst:parent_pst ~ann:(parent_ann : Node.annotated) px 
        [pen_memo] holds the penalty its first twin was pushed with (equal
        template ⇒ equal metrics and AST ⇒ equal penalty), making the
        ghost's f bit-identical to the suppressed entry's. *)
-    if e.dedup = Fingerprint && Fpset.mem e.seen_fp ann.Node.fp then
+    if Fpset.mem e.seen_fp ann.Node.fp then
       Hashtbl.find_opt e.pen_memo ann.Node.fp
     else None
   in
@@ -481,14 +460,13 @@ let run e ~on_suppressed ~on_entry =
   in
   loop ()
 
-let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?prune ~budget
-    ~validate () =
+let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?prune ~budget ~validate () =
   let g = Pcfg.cfg pcfg in
   let fps = Node.fingerprints g in
   (* with static depth tables the prune reads the annotation, so depth-dead
      pops never materialize (or walk) their tree at all *)
   let inc_depth = Node.depth_static fps in
-  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune in
+  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~prune in
   (* a ledger drain replays the depth guard from the annotation's depth,
      which must equal the walked depth, so analysis pruning rides on the
      same static tables *)
@@ -507,11 +485,10 @@ let search_topdown ~pcfg ~penalty_ctx ?(max_depth = 6) ?(dedup = Fingerprint) ?p
         None
       end)
 
-let search_bottomup ~pcfg ~penalty_ctx ~dim_list ?(dedup = Fingerprint) ?prune ~budget
-    ~validate () =
+let search_bottomup ~pcfg ~penalty_ctx ~dim_list ?prune ~budget ~validate () =
   let g = Pcfg.cfg pcfg in
   let fps = Node.fingerprints g in
-  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~dedup ~prune in
+  let e = make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~prune in
   let n_predicted = List.length dim_list in
   run e
     ~on_suppressed:(fun ~fp ~depth:_ ~nt ->

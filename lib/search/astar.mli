@@ -52,20 +52,16 @@ type 'sol outcome =
 
 val stats_of : 'sol outcome -> stats
 
-(** How validated templates are deduplicated. [Fingerprint] (the
-    default) keys the [seen] probe on {!Node.fingerprint} — O(1) per
-    complete tree, no printing — and additionally suppresses frontier
-    pushes of complete children whose fingerprint has already been
-    validated (they are replaced by weightless ghost entries whose pop
-    replays the duplicate's no-op, keeping attempt/expansion counts and
-    pop order bit-identical). [Pretty_key] is the legacy scheme — the
-    probe keys on the printed template — kept for differential testing. *)
-type dedup = Fingerprint | Pretty_key
-
 (** Top-down search (Algorithm 1): validates templates when a complete
     tree is dequeued; trees deeper than [max_depth] (default 6, §5.1) are
     discarded. The [validate] callback receives the template AST and
     returns a solution to stop the search.
+
+    Duplicate templates are validated once: the [seen] probe keys on
+    {!Node.fingerprint} — O(1) per complete tree, no printing — and a
+    complete child whose fingerprint has already been validated is
+    pushed as a weightless ghost entry whose pop replays the duplicate's
+    no-op, keeping attempt/expansion counts and pop order bit-identical.
 
     [?prune] enables analysis-guided pruning ({!Stagg_grammar.Prune}):
     a complete child whose template is provably a zero-substitution
@@ -76,14 +72,13 @@ type dedup = Fingerprint | Pretty_key
     effects land at exactly the position the baseline pop would have.
     Solved/attempt outcomes are therefore byte-identical with pruning on
     or off — caps and the 64-pop clock poll bind on the same template —
-    and only reported [expansions] (and time) drop. Requires
-    [Fingerprint] dedup (and, top-down, static depth tables); silently
-    off otherwise. *)
+    and only reported [expansions] (and time) drop. Top-down, it
+    requires static depth tables ({!Node.depth_static}); silently off
+    otherwise. *)
 val search_topdown :
   pcfg:Stagg_grammar.Pcfg.t ->
   penalty_ctx:Penalty.ctx ->
   ?max_depth:int ->
-  ?dedup:dedup ->
   ?prune:Stagg_grammar.Prune.t ->
   budget:budget ->
   validate:(Stagg_taco.Ast.program -> 'sol option) ->
@@ -100,7 +95,6 @@ val search_bottomup :
   pcfg:Stagg_grammar.Pcfg.t ->
   penalty_ctx:Penalty.ctx ->
   dim_list:int list ->
-  ?dedup:dedup ->
   ?prune:Stagg_grammar.Prune.t ->
   budget:budget ->
   validate:(Stagg_taco.Ast.program -> 'sol option) ->

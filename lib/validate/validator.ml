@@ -263,7 +263,7 @@ let last_count = Atomic.make 0
 let last_instantiations () = Atomic.get last_count
 
 let validate_counted ~signature ~(checker : checker) ~consts ?(verify = fun _ -> true)
-    ?memo_key ?(batched = true) template =
+    ?memo_key template =
   let args =
     List.map
       (fun (name, spec) ->
@@ -278,56 +278,41 @@ let validate_counted ~signature ~(checker : checker) ~consts ?(verify = fun _ ->
   let substs =
     Subst.enumerate_seq ~template ~out:signature.Sig.out ~out_rank ~args ~consts
   in
-  let ct = if batched then compiled_template_for template else None in
+  let ct = compiled_template_for template in
   let count = ref 0 in
-  (* Both arms test the same substitutions in the same order with the same
-     memo keys — the batched arm prints the would-be concrete program
-     directly from the template ([program_to_string_renamed] is
-     byte-identical to printing the instantiation) and only builds the
-     concrete AST for a passing substitution. *)
+  (* The compiled template is rebound per substitution, with no concrete
+     AST built; a template over MAXRANK has no compiled form, so each
+     candidate is instantiated and checked instead. *)
+  let check_subst (subst : Subst.t) =
+    match ct with
+    | Some ct ->
+        Tcompile.rebind ct ~mapping:subst.Subst.tensor_binding ~const:subst.Subst.const_binding;
+        check_compiled ct checker
+    | None -> check checker (Subst.instantiate template subst)
+  in
+  (* The memo key prints the would-be concrete program directly from the
+     template ([program_to_string_renamed] is byte-identical to printing
+     the instantiation), so no AST is built on a memo hit. *)
   let test (subst : Subst.t) =
     incr count;
     let passes =
-      match ct with
-      | Some ct -> (
-          let rebind_and_check () =
-            Tcompile.rebind ct ~mapping:subst.Subst.tensor_binding
-              ~const:subst.Subst.const_binding;
-            check_compiled ct checker
+      match memo_key with
+      | Some mk when Atomic.get memo_enabled -> (
+          let printed =
+            Stagg_taco.Pretty.program_to_string_renamed ~mapping:subst.Subst.tensor_binding
+              ~const:subst.Subst.const_binding ~is_const:Templatize.is_const_symbol template
           in
-          match memo_key with
-          | Some mk when Atomic.get memo_enabled -> (
-              let printed =
-                Stagg_taco.Pretty.program_to_string_renamed
-                  ~mapping:subst.Subst.tensor_binding ~const:subst.Subst.const_binding
-                  ~is_const:Templatize.is_const_symbol template
-              in
-              let key = (mk, printed) in
-              match memo_find key with
-              | Some v ->
-                  bump c_memo_hits;
-                  v
-              | None ->
-                  bump c_memo_misses;
-                  let v = rebind_and_check () in
-                  memo_add key v;
-                  v)
-          | _ -> rebind_and_check ())
-      | None -> (
-          let concrete = Subst.instantiate template subst in
-          match memo_key with
-          | Some mk when Atomic.get memo_enabled -> (
-              let key = (mk, Stagg_taco.Pretty.program_to_string concrete) in
-              match memo_find key with
-              | Some v ->
-                  bump c_memo_hits;
-                  v
-              | None ->
-                  bump c_memo_misses;
-                  let v = check checker concrete in
-                  memo_add key v;
-                  v)
-          | _ -> check checker concrete)
+          let key = (mk, printed) in
+          match memo_find key with
+          | Some v ->
+              bump c_memo_hits;
+              v
+          | None ->
+              bump c_memo_misses;
+              let v = check_subst subst in
+              memo_add key v;
+              v)
+      | _ -> check_subst subst
     in
     if passes then begin
       let concrete = Subst.instantiate template subst in
@@ -338,10 +323,8 @@ let validate_counted ~signature ~(checker : checker) ~consts ?(verify = fun _ ->
   let solution = Seq.find_map test substs in
   (solution, !count)
 
-let validate ~signature ~examples ~consts ?verify ?memo_key ?batched template =
+let validate ~signature ~examples ~consts ?verify ?memo_key template =
   let checker = prepare ~signature ~examples in
-  let solution, count =
-    validate_counted ~signature ~checker ~consts ?verify ?memo_key ?batched template
-  in
+  let solution, count = validate_counted ~signature ~checker ~consts ?verify ?memo_key template in
   Atomic.set last_count count;
   solution

@@ -8,17 +8,18 @@
     verification (§7: on verification failure the validator keeps exploring
     substitutions) — is returned.
 
-    Execution is staged ({!Stagg_taco.Compile}) and, by default,
-    {e batched}: the whole template is compiled once (plan + closure tree,
-    via a per-domain compiled-template cache shared across pops and
-    sweeps), and each substitution is a [rebind] — slot retargeting plus a
-    constant-cell write over shared allocation-free scratch — instead of an
-    instantiate + compile. Batched and per-candidate validation test the
-    same substitutions in the same order with the same memo keys, so their
-    results, counts, and memo contents are observably identical (the
-    [@smoke] differential and a QCheck suite enforce this). Examples are
-    checked cheapest-first with an early exit at the first mismatching
-    cell. *)
+    Execution is staged ({!Stagg_taco.Compile}) and {e batched}: the
+    whole template is compiled once (plan + closure tree, via a per-domain
+    LRU compiled-template cache shared across pops and sweeps), and each
+    substitution is a [rebind] — slot retargeting plus a constant-cell
+    write over shared allocation-free scratch — instead of an instantiate
+    + compile. The one exception is a template whose LHS rank exceeds
+    {!Stagg_taco.Shape.max_rank}: it cannot be compiled into the fixed
+    scratch, so each substitution is instantiated and checked on its own
+    (counted in [template_overflows]). Both paths test the same
+    substitutions in the same order under the same memo keys. Examples
+    are checked cheapest-first with an early exit at the first
+    mismatching cell. *)
 
 open Stagg_util
 
@@ -44,8 +45,8 @@ type checker
 val prepare :
   signature:Stagg_minic.Signature.t -> examples:Examples.example list -> checker
 
-(** [validate ~signature ~examples ~consts ?verify ?memo_key ?batched
-    template] — first substitution (if any) whose instantiation reproduces
+(** [validate ~signature ~examples ~consts ?verify ?memo_key template]
+    — first substitution (if any) whose instantiation reproduces
     every example and passes [verify]. Convenience wrapper over
     {!validate_counted} that prepares the examples itself; callers
     validating many templates against the same examples should [prepare]
@@ -57,19 +58,13 @@ val prepare :
     key must determine the examples — the harness uses
     ["bench#example-seed"]. Verdicts are deterministic functions of the
     key, so memoized and recomputed runs are observably identical. The
-    [verify] outcome is never memoized.
-
-    [batched] (default [true]) selects template-level compilation +
-    rebind; [false] forces the per-candidate instantiate + compile path.
-    The two are observably identical — the flag exists for the on/off
-    differential and ablation. *)
+    [verify] outcome is never memoized. *)
 val validate :
   signature:Stagg_minic.Signature.t ->
   examples:Examples.example list ->
   consts:Rat.t list ->
   ?verify:(Stagg_taco.Ast.program -> bool) ->
   ?memo_key:string ->
-  ?batched:bool ->
   Stagg_taco.Ast.program ->
   solution option
 
@@ -82,7 +77,6 @@ val validate_counted :
   consts:Rat.t list ->
   ?verify:(Stagg_taco.Ast.program -> bool) ->
   ?memo_key:string ->
-  ?batched:bool ->
   Stagg_taco.Ast.program ->
   solution option * int
 

@@ -1,11 +1,11 @@
-(* Satellites of the fingerprint-dedup change:
+(* Tests of the fingerprint dedup:
    - a QCheck collision audit: over a large seeded corpus of random complete
      derivation trees, two trees get the same fingerprint iff they print to
      the same canonical template string (the §4.4 equality the dedup must
      respect);
-   - a differential run of the pipeline with fingerprint vs legacy
-     printed-string dedup: solved sets, first solutions, and search counts
-     must be identical;
+   - the pipeline's per-bench outcomes pinned against committed counts
+     recorded from the printed-string dedup it replaced: solved sets, first
+     solutions, and search counts must be identical;
    - the wall-clock budget surfacing as [failure = Some "timeout"]. *)
 
 open Stagg_grammar
@@ -159,7 +159,7 @@ let fp_soundness =
           Hashtbl.add str_to_fp (label, s) fp;
           true)
 
-(* ---- fingerprint vs legacy string dedup, end to end ---- *)
+(* ---- fingerprint dedup vs the printed-string dedup's counts ---- *)
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -170,28 +170,79 @@ let first_solution (r : Stagg.Result_.t) =
   | Some sol -> Pretty.program_to_string sol.concrete
   | None -> "<none>"
 
+(* Per bench: (name, solved, attempts, pops, first solution), recorded
+   from the legacy dedup that keyed [seen] on the printed template. That
+   scheme ran without analysis pruning, so its expansion count is every
+   pop; the fingerprint side splits the same pops into real expansions +
+   admission-suppressed ones. *)
+let legacy_td =
+  [
+    ("art_copy", true, 1, 4, "R(i) = A(i)");
+    ("art_scal_const", true, 1, 12, "R(i) = A(i) * 5");
+    ("art_vec_add", true, 1, 10, "R(i) = A(i) + B(i)");
+    ("art_dot", true, 1, 11, "R = A(i) * B(i)");
+    ("art_outer", true, 3, 21, "R(i, j) = A(i) * B(j)");
+    ("art_gemv", true, 1, 10, "R(i) = A(i, j) * X(j)");
+    ("art_gemm", true, 11, 34, "R(i, j) = A(i, k) * B(k, j)");
+    ("art_ttv", true, 23, 120, "R(i, j) = A(i, j, k) * X(k)");
+    ("art_ttm", true, 2, 13, "R(i, j, k) = A(i, j, l) * B(k, l)");
+    ("art_mttkrp", true, 1, 287, "R(i, j) = A(i, k, l) * (B(k, j) * C(l, j))");
+    ("sa_sum", true, 1, 4, "R = A(i)");
+    ("sa_sum2d", true, 1, 4, "R = A(i, j)");
+    ("sa_mul_sum", true, 1, 12, "R = A(i) * B(i)");
+    ("sa_add_one", true, 1, 12, "R(i) = A(i) + 1");
+    ("sa_const_sub", true, 2, 13, "R(i) = 10 - A(i)");
+    ("sa_row_sums", true, 1, 4, "R(i) = A(i, j)");
+    ("sa_col_sums", true, 3, 6, "R(i) = A(j, i)");
+    ("sa_triple_prod", true, 1, 376, "R(i) = A(i) * (B(i) * C(i))");
+    ("sa_scaled_total", true, 3, 16, "R = 7 * A(i)");
+    ("sa_fma_const", true, 24, 695, "R(i) = A(i) * 2 + B(i)");
+    ("sa_quarter", true, 1, 12, "R(i) = A(i) / 4");
+    ("sa_norm_ratio", true, 3, 601, "R(i) = A(i) / (hi - lo)");
+  ]
+
+let legacy_bu =
+  [
+    ("art_copy", true, 1, 4, "R(i) = A(i)");
+    ("art_scal_const", true, 1, 7, "R(i) = A(i) * 5");
+    ("art_vec_add", true, 1, 7, "R(i) = A(i) + B(i)");
+    ("art_dot", true, 1, 7, "R = A(i) * B(i)");
+    ("art_outer", true, 5, 19, "R(i, j) = A(i) * B(j)");
+    ("art_gemv", true, 1, 7, "R(i) = A(i, j) * X(j)");
+    ("art_gemm", true, 4, 15, "R(i, j) = A(i, k) * B(k, j)");
+    ("art_ttv", true, 23, 109, "R(i, j) = A(i, j, k) * X(k)");
+    ("art_ttm", true, 2, 8, "R(i, j, k) = A(i, j, l) * B(k, l)");
+    ("art_mttkrp", true, 1, 10, "R(i, j) = A(i, k, l) * B(k, j) * C(l, j)");
+    ("sa_sum", true, 1, 4, "R = A(i)");
+    ("sa_sum2d", true, 1, 4, "R = A(i, j)");
+    ("sa_mul_sum", true, 1, 7, "R = A(i) * B(i)");
+    ("sa_add_one", true, 1, 7, "R(i) = A(i) + 1");
+    ("sa_const_sub", true, 1, 7, "R(i) = 10 - A(i)");
+    ("sa_row_sums", true, 1, 4, "R(i) = A(i, j)");
+    ("sa_col_sums", true, 3, 7, "R(i) = A(j, i)");
+    ("sa_triple_prod", true, 1, 10, "R(i) = A(i) * B(i) * C(i)");
+    ("sa_scaled_total", true, 2, 10, "R = A(i) * 7");
+    ("sa_fma_const", true, 2, 15, "R(i) = A(i) * 2 + B(i)");
+    ("sa_quarter", true, 1, 7, "R(i) = A(i) / 4");
+    ("sa_norm_ratio", false, 12, 62, "<none>");
+  ]
+
 let test_differential () =
   let benches = Suite.artificial @ Suite.by_category Bench.Simpl_array in
   List.iter
-    (fun (m : Stagg.Method_.t) ->
-      let fingerprint = Stagg.Pipeline.run_suite m benches in
-      let legacy =
-        Stagg.Pipeline.run_suite { m with Stagg.Method_.dedup = Astar.Pretty_key } benches
-      in
+    (fun ((m : Stagg.Method_.t), expected) ->
+      let results = Stagg.Pipeline.run_suite m benches in
+      check_int (m.label ^ " bench count") (List.length expected) (List.length results);
       List.iter2
-        (fun (a : Stagg.Result_.t) (b : Stagg.Result_.t) ->
-          let lbl = m.label ^ "/" ^ a.bench in
-          check_bool (lbl ^ " solved") b.solved a.solved;
-          check_int (lbl ^ " attempts") b.attempts a.attempts;
-          (* the legacy dedup cannot replay suppressed pops, so the
-             analysis pruning is off there: its expansions count every
-             pop, the fingerprint side splits the same pops into real +
-             suppressed *)
-          check_int (lbl ^ " legacy suppresses nothing") 0 b.suppressed;
-          check_int (lbl ^ " expansions") b.expansions (a.expansions + a.suppressed);
-          check_string (lbl ^ " first solution") (first_solution b) (first_solution a))
-        fingerprint legacy)
-    [ Stagg.Method_.stagg_td; Stagg.Method_.stagg_bu ]
+        (fun (a : Stagg.Result_.t) (name, solved, attempts, pops, solution) ->
+          let lbl = m.label ^ "/" ^ name in
+          check_string (lbl ^ " bench") name a.bench;
+          check_bool (lbl ^ " solved") solved a.solved;
+          check_int (lbl ^ " attempts") attempts a.attempts;
+          check_int (lbl ^ " expansions") pops (a.expansions + a.suppressed);
+          check_string (lbl ^ " first solution") solution (first_solution a))
+        results expected)
+    [ (Stagg.Method_.stagg_td, legacy_td); (Stagg.Method_.stagg_bu, legacy_bu) ]
 
 (* ---- timeout surfacing ---- *)
 
