@@ -187,12 +187,12 @@ let strip_schema_version src dst =
   close_in ic;
   close_out oc
 
-let run_smoke ~json_file ~frontier_ceiling ~tune () =
+let run_smoke ~jobs ~json_file ~frontier_ceiling ~tune () =
   let benches = Stagg_benchsuite.Suite.artificial in
   let t0 = Unix.gettimeofday () in
   let rows =
     List.map
-      (fun (m : Stagg.Method_.t) -> (m.label, Stagg.Pipeline.run_suite (tune m) benches))
+      (fun (m : Stagg.Method_.t) -> (m.label, Stagg.Pipeline.run_suite ~jobs (tune m) benches))
       smoke_methods
   in
   Printf.printf "== smoke sweep (artificial suite, %d queries) ==\n" (List.length benches);
@@ -480,19 +480,17 @@ let run_serve_load ~jobs ~json_file () =
 
 (* [--oracle] steers only --smoke: the campaign carries its own Trace and
    Trace+LLM rows. *)
-let run_campaign ~skip_ablations ~skip_bechamel ~(flags : Method_flags.t) ~jobs ~json_file =
-  let analysis = flags.analysis in
+let run_campaign ~skip_ablations ~skip_bechamel ~jobs ~json_file =
   let progress msg = Printf.eprintf "[bench] %s\n%!" msg in
   let t0 = Unix.gettimeofday () in
   let runs =
-    if skip_ablations then Experiments.run_core ~progress ~jobs ~analysis ()
-    else Experiments.run_all ~progress ~jobs ~analysis ()
+    if skip_ablations then Experiments.run_core ~progress ~jobs ()
+    else Experiments.run_all ~progress ~jobs ()
   in
-  Printf.printf "Guided Tensor Lifting — experiment harness (suite of %d queries, seed %d%s)\n\n"
+  Printf.printf "Guided Tensor Lifting — experiment harness (suite of %d queries, seed %d)\n\n"
     (List.length Stagg_benchsuite.Suite.all)
-    runs.seed
-    (if analysis then "" else ", static analysis off");
-  if analysis then run_diagnostics ();
+    runs.seed;
+  run_diagnostics ();
   print_string (Experiments.table1 runs);
   print_newline ();
   print_string (Experiments.fig9 runs);
@@ -526,8 +524,8 @@ let main smoke serve_smoke serve_load skip_ablations skip_bechamel flags frontie
     json_file =
   if serve_smoke then run_serve_smoke ~jobs ~json_file ()
   else if serve_load then run_serve_load ~jobs ~json_file ()
-  else if smoke then run_smoke ~json_file ~frontier_ceiling ~tune:(Method_flags.apply flags) ()
-  else run_campaign ~skip_ablations ~skip_bechamel ~flags ~jobs ~json_file
+  else if smoke then run_smoke ~jobs ~json_file ~frontier_ceiling ~tune:(Method_flags.apply flags) ()
+  else run_campaign ~skip_ablations ~skip_bechamel ~jobs ~json_file
 
 let positive_int =
   let parse s =

@@ -125,15 +125,13 @@ let analyze_cmd =
         | Ok prep ->
             let q = Stagg.Pipeline.query_of_bench m b in
             let consts = Stagg_minic.Ast.constants (Bench.func b) in
-            (match Stagg.Pipeline.prune_of m q ~consts prep with
-            | None -> Printf.printf "grammar pruning: off (analysis disabled)\n"
-            | Some pr ->
-                Printf.printf "grammar pruning (%s): %d/%d rules doomed%s\n" m.label
-                  (Stagg_grammar.Prune.n_doomed pr) (Stagg_grammar.Prune.n_rules pr)
-                  (if Stagg_grammar.Prune.tracks_arity pr then ", arity tracking on" else "");
-                List.iter
-                  (fun (reason, n) -> Printf.printf "  %-28s %d\n" reason n)
-                  (Stagg_grammar.Prune.doomed_counts pr))));
+            let pr = Stagg.Pipeline.prune_of q ~consts prep in
+            Printf.printf "grammar pruning (%s): %d/%d rules doomed%s\n" m.label
+              (Stagg_grammar.Prune.n_doomed pr) (Stagg_grammar.Prune.n_rules pr)
+              (if Stagg_grammar.Prune.tracks_arity pr then ", arity tracking on" else "");
+            List.iter
+              (fun (reason, n) -> Printf.printf "  %-28s %d\n" reason n)
+              (Stagg_grammar.Prune.doomed_counts pr)));
     exit (match facts.ft_verdict with Ok () -> 0 | Error _ -> 1)
   in
   Cmd.v
@@ -174,26 +172,31 @@ let jobs_arg =
 
 let suite_cmd =
   let run meth jobs (flags : Method_flags.t) =
-    let results =
-      match meth with
-      | "llm" ->
-          Stagg_baselines.Llm_only.run_suite ~jobs ~seed:20250604 Suite.all
-      | "c2taco" ->
-          Stagg_baselines.C2taco.run_suite ~jobs ~seed:20250604 ~heuristics:true Suite.all
-      | "c2taco-noh" ->
-          Stagg_baselines.C2taco.run_suite ~jobs ~seed:20250604 ~heuristics:false Suite.all
-      | "tenspiler" ->
-          Stagg_baselines.Tenspiler.run_suite ~jobs ~seed:20250604 Suite.real_world
-      | m ->
-          Stagg.Pipeline.run_suite ~jobs (Method_flags.apply flags (method_of_string m)) Suite.all
-    in
-    List.iter (fun r -> Format.printf "%a@." Stagg.Result_.pp r) results;
-    let solved = List.filter (fun r -> r.Stagg.Result_.solved) results in
-    Printf.printf "\nsolved %d/%d\n" (List.length solved) (List.length results)
+    (* the baselines have no candidate oracle to swap *)
+    let baseline = List.mem meth [ "llm"; "c2taco"; "c2taco-noh"; "tenspiler" ] in
+    if baseline && Option.is_some flags.oracle then
+      `Error (true, Printf.sprintf "--oracle does not apply to the %s baseline" meth)
+    else begin
+      let results =
+        match meth with
+        | "llm" -> Stagg_baselines.Llm_only.run_suite ~jobs ~seed:20250604 Suite.all
+        | "c2taco" ->
+            Stagg_baselines.C2taco.run_suite ~jobs ~seed:20250604 ~heuristics:true Suite.all
+        | "c2taco-noh" ->
+            Stagg_baselines.C2taco.run_suite ~jobs ~seed:20250604 ~heuristics:false Suite.all
+        | "tenspiler" -> Stagg_baselines.Tenspiler.run_suite ~jobs ~seed:20250604 Suite.real_world
+        | m ->
+            Stagg.Pipeline.run_suite ~jobs (Method_flags.apply flags (method_of_string m)) Suite.all
+      in
+      List.iter (fun r -> Format.printf "%a@." Stagg.Result_.pp r) results;
+      let solved = List.filter (fun r -> r.Stagg.Result_.solved) results in
+      Printf.printf "\nsolved %d/%d\n" (List.length solved) (List.length results);
+      `Ok ()
+    end
   in
   Cmd.v
     (Cmd.info "suite" ~doc:"Run one method over the whole suite and print per-query results.")
-    Term.(const run $ method_arg $ jobs_arg $ Method_flags.term)
+    Term.(ret (const run $ method_arg $ jobs_arg $ Method_flags.term))
 
 (* ---- lift-file: arbitrary C + signature spec + recorded LLM transcript ---- *)
 

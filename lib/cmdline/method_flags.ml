@@ -1,16 +1,7 @@
 open Cmdliner
 module Method_ = Stagg.Method_
 
-type t = { analysis : bool; oracle : Method_.oracle option }
-
-let no_analysis =
-  Arg.(
-    value & flag
-    & info [ "no-analysis" ]
-        ~doc:
-          "Disable the static liftability analysis (fail-fast and search pruning). \
-           Solved/attempt outcomes are byte-identical either way; this is the \
-           differential-testing baseline.")
+type t = { oracle : Method_.oracle option }
 
 let oracle =
   Arg.(
@@ -33,14 +24,6 @@ let oracle =
            methods carry theirs; everything else is $(b,llm)). A run with an explicit \
            $(b,--oracle llm) is byte-identical to one without the flag.")
 
-let term =
-  Term.(
-    const (fun no_analysis oracle -> { analysis = not no_analysis; oracle })
-    $ no_analysis $ oracle)
+let term = Term.(const (fun oracle -> { oracle }) $ oracle)
 
-let apply f (m : Method_.t) =
-  {
-    m with
-    analysis = m.analysis && f.analysis;
-    oracle = Option.value f.oracle ~default:m.oracle;
-  }
+let apply f (m : Method_.t) = { m with oracle = Option.value f.oracle ~default:m.oracle }

@@ -1,11 +1,7 @@
-(** The method flags shared by the [stagg] CLI and the bench harness:
-    [--no-analysis] and [--oracle]. A bad
-    value is a cmdliner usage error. *)
+(** The method flag shared by the [stagg] CLI and the bench harness:
+    [--oracle]. A bad value is a cmdliner usage error. *)
 
-type t = {
-  analysis : bool;  (** [false] under [--no-analysis] *)
-  oracle : Stagg.Method_.oracle option;  (** [None]: keep the method's own oracle *)
-}
+type t = { oracle : Stagg.Method_.oracle option  (** [None]: keep the method's own oracle *) }
 
 val term : t Cmdliner.Term.t
 

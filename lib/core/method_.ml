@@ -29,12 +29,6 @@ type t = {
   budget : Astar.budget;
   max_depth : int;  (** top-down depth limit (§5.1) *)
   verify : bool;  (** bounded verification of validated candidates (§7) *)
-  analysis : bool;
-      (** static liftability analysis: fail fast on unliftable kernels and
-          prune provably-doomed templates from the search. Solved/attempt
-          outcomes are byte-identical either way (only expansions/time
-          drop); [false] reproduces the pre-analysis behaviour for
-          differential testing. *)
   seed : int;  (** drives the mock LLM and example generation *)
   oracle : oracle;
       (** where candidate templates come from ({!Oracle_llm} by default).
@@ -56,15 +50,9 @@ let base search grammar penalties label =
     budget = default_budget;
     max_depth = 6;
     verify = true;
-    analysis = true;
     seed = 20250604;
     oracle = Oracle_llm;
   }
-
-(** The same method without the static-analysis layer (the [--no-analysis]
-    differential mode); the label is unchanged so sweep outputs diff
-    cleanly against analysis-on runs. *)
-let without_analysis m = { m with analysis = false }
 
 (** The same method drawing candidates from the given oracle; label
     unchanged, for differential runs ([--oracle llm] must diff cleanly

@@ -226,26 +226,22 @@ let facts_warnings (q : query) (facts : Stagg_minic.Facts.t) ~(dim_list : int li
   | _ -> ());
   facts.ft_warnings @ List.rev !extra
 
-let prune_of (m : Method_.t) (q : query) ~(consts : 'a list) (prep : prepared) :
-    Stagg_grammar.Prune.t option =
-  if not m.analysis then None
-  else
-    let module Sig = Stagg_minic.Signature in
-    Some
-      (Prune.restrict (Pcfg.cfg prep.pcfg)
-         {
-           Prune.out_rank = Some (Sig.rank_of_spec (Sig.out_spec q.signature));
-           arg_ranks = Some (List.map (fun (_, s) -> Sig.rank_of_spec s) q.signature.Sig.args);
-           no_consts = consts = [];
-           lhs_name = Genlib.tensor_name 0;
-         })
+let prune_of (q : query) ~(consts : 'a list) (prep : prepared) : Stagg_grammar.Prune.t =
+  let module Sig = Stagg_minic.Signature in
+  Prune.restrict (Pcfg.cfg prep.pcfg)
+    {
+      Prune.out_rank = Some (Sig.rank_of_spec (Sig.out_spec q.signature));
+      arg_ranks = Some (List.map (fun (_, s) -> Sig.rank_of_spec s) q.signature.Sig.args);
+      no_consts = consts = [];
+      lhs_name = Genlib.tensor_name 0;
+    }
 
 let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
     (prefix_r : (prefix, string) result) : Result_.t =
   let started = Unix.gettimeofday () in
   (* per-phase accumulators, fed by the validate and verify hooks *)
   let validate_s = ref 0. and verify_s = ref 0. and instantiations = ref 0 in
-  let facts = if m.analysis then Some (Stagg_minic.Facts.analyze q.func) else None in
+  let facts = Stagg_minic.Facts.analyze q.func in
   let traced, trace_templates, trace_warning =
     match prefix_r with
     | Ok p -> (p.pf_traced, p.pf_trace_templates, p.pf_trace_warning)
@@ -276,30 +272,23 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
       failure;
     }
   in
-  match facts with
-  | Some f when Result.is_error f.ft_verdict ->
+  match facts.ft_verdict with
+  | Error diag ->
       (* fail fast: no grammar, no search — the diagnostic is the result *)
-      let diag = match f.ft_verdict with Error d -> d | Ok () -> assert false in
       finish ~solved:false ~solution:None ~attempts:0 ~expansions:0 ~n_candidates:0
-        ~warnings:(facts_warnings q f ~dim_list:None)
+        ~warnings:(facts_warnings q facts ~dim_list:None)
         ~failure:(Some ("not liftable: " ^ diag))
         ()
-  | _ -> (
+  | Ok () -> (
   match Result.map (prepared_of_prefix m) prefix_r with
   | Error reason ->
-      let warnings =
-        match facts with None -> [] | Some f -> facts_warnings q f ~dim_list:None
-      in
-      finish ~solved:false ~solution:None ~attempts:0 ~expansions:0 ~n_candidates:0 ~warnings
+      finish ~solved:false ~solution:None ~attempts:0 ~expansions:0 ~n_candidates:0
+        ~warnings:(facts_warnings q facts ~dim_list:None)
         ~failure:(Some reason) ()
   | Ok prep -> (
       let n_candidates = List.length prep.candidates in
       let func = q.func in
-      let warnings =
-        match facts with
-        | None -> []
-        | Some f -> facts_warnings q f ~dim_list:(Some prep.dim_list)
-      in
+      let warnings = facts_warnings q facts ~dim_list:(Some prep.dim_list) in
       let example_seed = m.seed lxor Hashtbl.hash (q.qname, "examples") in
       let prng = Prng.create ~seed:example_seed in
       match Examples.generate ~func ~signature:q.signature ~prng () with
@@ -341,23 +330,20 @@ let lift_prefixed ?(memo_scope = "") (m : Method_.t) (q : query)
             instantiations := !instantiations + n;
             sol
           in
-          let prune = prune_of m q ~consts prep in
-          let pruned_rules =
-            match prune with Some pr -> Prune.n_doomed pr | None -> 0
-          in
+          let prune = prune_of q ~consts prep in
           let outcome =
             match m.search with
             | Method_.Top_down ->
                 Astar.search_topdown ~pcfg:prep.pcfg ~penalty_ctx:prep.penalty_ctx
-                  ~max_depth:m.max_depth ?prune ~budget:m.budget ~validate ()
+                  ~max_depth:m.max_depth ~prune ~budget:m.budget ~validate ()
             | Method_.Bottom_up ->
                 Astar.search_bottomup ~pcfg:prep.pcfg ~penalty_ctx:prep.penalty_ctx
-                  ~dim_list:prep.dim_list ?prune ~budget:m.budget ~validate ()
+                  ~dim_list:prep.dim_list ~prune ~budget:m.budget ~validate ()
           in
           let stats = Astar.stats_of outcome in
           let finish =
-            finish ~suppressed:stats.suppressed ~frontier_peak:stats.frontier_peak ~pruned_rules
-              ~warnings ~n_candidates
+            finish ~suppressed:stats.suppressed ~frontier_peak:stats.frontier_peak
+              ~pruned_rules:(Prune.n_doomed prune) ~warnings ~n_candidates
           in
           match outcome with
           | Astar.Solved (sol, _) ->

@@ -71,13 +71,11 @@ val prepare_query : Method_.t -> query -> (prepared, string) result
 (** [prepare m bench] — {!prepare_query} on a suite benchmark. *)
 val prepare : Method_.t -> Stagg_benchsuite.Bench.t -> (prepared, string) result
 
-(** The analysis-guided rule-doom table for one prepared method, or
-    [None] when the method disables the analysis. [consts] is
+(** The analysis-guided rule-doom table for one prepared query. [consts] is
     the kernel's literal-constant pool ({!Stagg_minic.Ast.constants}):
     an empty pool dooms every [Const] rule. Exposed for the CLI's
     [analyze] command; {!lift} applies it internally. *)
-val prune_of :
-  Method_.t -> query -> consts:'a list -> prepared -> Stagg_grammar.Prune.t option
+val prune_of : query -> consts:'a list -> prepared -> Stagg_grammar.Prune.t
 
 (** [lift m q] — the whole pipeline on an arbitrary query; never raises.
 

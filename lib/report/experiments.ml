@@ -96,11 +96,11 @@ let sweep_timed ?log ~progress label f =
        dt);
   r
 
-let run_core_cached ?jobs ?(analysis = true) ~seed ~progress (cache : prep) =
+let run_core_cached ?jobs ~seed ~progress (cache : prep) =
   let all = Suite.all and rw = Suite.real_world in
   let sweep_log = ref [] in
   let sweep = sweep_timed ~log:sweep_log ~progress in
-  let with_seed m = { m with Method_.seed; analysis } in
+  let with_seed m = { m with Method_.seed } in
   let sweep_m m = sweep m.Method_.label (fun () -> sweep_prepared ?jobs (with_seed m) cache) in
   let td = sweep_m Method_.stagg_td in
   let bu = sweep_m Method_.stagg_bu in
@@ -144,8 +144,8 @@ let run_core_cached ?jobs ?(analysis = true) ~seed ~progress (cache : prep) =
    silently shift the instantiation counts of the pre-existing rows —
    the byte-identity contract is that those rows do not move when the
    trace oracle is off. *)
-let run_trace_sweeps ?jobs ?(analysis = true) ~seed ~progress ~sweep_log () =
-  let with_seed m = { m with Method_.seed; analysis } in
+let run_trace_sweeps ?jobs ~seed ~progress ~sweep_log () =
+  let with_seed m = { m with Method_.seed } in
   let sweep m ~oracle =
     sweep_timed ~log:sweep_log ~progress m.Method_.label (fun () ->
         sweep_prepared ?jobs (with_seed m)
@@ -155,18 +155,16 @@ let run_trace_sweeps ?jobs ?(analysis = true) ~seed ~progress ~sweep_log () =
   let trace_llm = sweep Method_.td_trace_llm ~oracle:Method_.Oracle_trace_llm in
   (trace, trace_llm)
 
-let run_core ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?analysis () =
-  let core =
-    run_core_cached ?jobs ?analysis ~seed ~progress (prepare_suite ?jobs ~seed Suite.all)
-  in
+let run_core ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs () =
+  let core = run_core_cached ?jobs ~seed ~progress (prepare_suite ?jobs ~seed Suite.all) in
   let sweep_log = ref [] in
-  let trace, trace_llm = run_trace_sweeps ?jobs ?analysis ~seed ~progress ~sweep_log () in
+  let trace, trace_llm = run_trace_sweeps ?jobs ~seed ~progress ~sweep_log () in
   { core with trace; trace_llm; sweeps = core.sweeps @ List.rev !sweep_log }
 
-let run_all ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?(analysis = true) () =
+let run_all ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs () =
   let cache = prepare_suite ?jobs ~seed Suite.all in
-  let core = run_core_cached ?jobs ~analysis ~seed ~progress cache in
-  let with_seed m = { m with Method_.seed; analysis } in
+  let core = run_core_cached ?jobs ~seed ~progress cache in
+  let with_seed m = { m with Method_.seed } in
   let sweep_log = ref [] in
   let sweep m =
     sweep_timed ~log:sweep_log ~progress m.Method_.label (fun () ->
@@ -186,7 +184,7 @@ let run_all ?(seed = default_seed) ?(progress = fun _ -> ()) ?jobs ?(analysis = 
   let bu_llm_grammar = sweep Method_.bu_llm_grammar in
   let bu_full_grammar = sweep Method_.bu_full_grammar in
   (* trace sweeps last — see [run_trace_sweeps] on why the order matters *)
-  let trace, trace_llm = run_trace_sweeps ?jobs ~analysis ~seed ~progress ~sweep_log () in
+  let trace, trace_llm = run_trace_sweeps ?jobs ~seed ~progress ~sweep_log () in
   {
     core with
     td_drop_all;

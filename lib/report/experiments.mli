@@ -52,30 +52,11 @@ type runs = {
     ({!Stagg_util.Pool}). Results are deterministic and independent of
     [jobs] (modulo the [time_s] fields); [~jobs:1] runs everything on
     the calling domain. [jobs] defaults to
-    {!Stagg_util.Pool.default_jobs}.
-
-    [analysis] (default [true]) toggles the static liftability analysis
-    ({!Stagg_minic.Facts} fail-fast + {!Stagg_grammar.Prune} search
-    pruning) on the STAGG methods; solved/attempt outcomes are
-    byte-identical either way — only expansions and time drop — so
-    [~analysis:false] is the differential baseline behind the bench
-    driver's [--no-analysis] flag. *)
-val run_all :
-  ?seed:int ->
-  ?progress:(string -> unit) ->
-  ?jobs:int ->
-  ?analysis:bool ->
-  unit ->
-  runs
+    {!Stagg_util.Pool.default_jobs}. *)
+val run_all : ?seed:int -> ?progress:(string -> unit) -> ?jobs:int -> unit -> runs
 
 (** Core methods only (Table 1 / Figs. 9–10), without the ablations. *)
-val run_core :
-  ?seed:int ->
-  ?progress:(string -> unit) ->
-  ?jobs:int ->
-  ?analysis:bool ->
-  unit ->
-  runs
+val run_core : ?seed:int -> ?progress:(string -> unit) -> ?jobs:int -> unit -> runs
 
 val table1 : runs -> string
 val table2 : runs -> string

@@ -334,47 +334,40 @@ let handle_lift t ~seq ~(req : request) ~raw_id =
               ~time_s:(Unix.gettimeofday () -. t0)
               o
           in
-          (* per-request domain-budget isolation: claim on admit, release
-             on every exit path — a request that raises (or times out
-             inside the search) must not leak its allowance *)
-          Pool.claim_exact 1;
-          Fun.protect
-            ~finally:(fun () -> Pool.release 1)
-            (fun () ->
-              match Cache.acquire t.cache ~key ~fp with
-              | Cache.Hit o -> respond "hit" o
-              | Cache.Joined o -> respond "join" o
-              | Cache.Owner donor -> (
-                  try
-                    let outcome, path =
-                      match
-                        Option.bind donor (fun (d : Cache.outcome) ->
-                            Option.bind d.lifted
-                              (try_remap ~m ~qname ~func ~signature ~consts))
-                      with
-                      | Some o -> (o, "remap")
-                      | None ->
-                          let q =
-                            {
-                              Pipeline.qname;
-                              func;
-                              signature;
-                              c_source = req.c_source;
-                              client = Stagg_oracle.Replay.of_lines [];
-                              oracle = m.Method_.oracle;
-                            }
-                          in
-                          (outcome_of_result signature consts
-                             (Pipeline.lift ~memo_scope:(memo_scope t) m q),
-                            "miss")
-                    in
-                    Cache.fulfill t.cache ~key ~fp outcome;
-                    if String.equal path "remap" then Cache.note_remap t.cache;
-                    respond path outcome
-                  with e ->
-                    Cache.abort t.cache ~key;
-                    error_response ~id:raw_id ~seq
-                      ("internal error: " ^ Printexc.to_string e))))
+          match Cache.acquire t.cache ~key ~fp with
+          | Cache.Hit o -> respond "hit" o
+          | Cache.Joined o -> respond "join" o
+          | Cache.Owner donor -> (
+              try
+                let outcome, path =
+                  match
+                    Option.bind donor (fun (d : Cache.outcome) ->
+                        Option.bind d.lifted
+                          (try_remap ~m ~qname ~func ~signature ~consts))
+                  with
+                  | Some o -> (o, "remap")
+                  | None ->
+                      let q =
+                        {
+                          Pipeline.qname;
+                          func;
+                          signature;
+                          c_source = req.c_source;
+                          client = Stagg_oracle.Replay.of_lines [];
+                          oracle = m.Method_.oracle;
+                        }
+                      in
+                      (outcome_of_result signature consts
+                         (Pipeline.lift ~memo_scope:(memo_scope t) m q),
+                        "miss")
+                in
+                Cache.fulfill t.cache ~key ~fp outcome;
+                if String.equal path "remap" then Cache.note_remap t.cache;
+                respond path outcome
+              with e ->
+                Cache.abort t.cache ~key;
+                error_response ~id:raw_id ~seq
+                  ("internal error: " ^ Printexc.to_string e)))
 
 let stats_response t ~id ~seq =
   let vs = Validator.stats () in
@@ -434,7 +427,7 @@ let run_lines t lines =
   let base = reserve_seqs t n in
   let indexed = List.mapi (fun i l -> (base + i, l)) lines in
   let f (seq, l) = fst (process t ~seq l) in
-  if t.cfg.jobs <= 1 then List.map f indexed else Pool.map ~jobs:t.cfg.jobs f indexed
+  Pool.map ~jobs:t.cfg.jobs f indexed
 
 (* Streaming loop shared by stdio and socket: emit responses in request
    order with at most [jobs] requests in flight (a FIFO of running

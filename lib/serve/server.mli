@@ -26,11 +26,7 @@
     answered: ["miss"] (searched), ["hit"], ["join"] (waited out a
     concurrent identical search), or ["remap"].
 
-    Each admitted request claims one domain from the process-wide
-    {!Stagg_util.Pool} budget and releases it on every exit path, so a
-    long-lived server never leaks its allowance across requests —
-    nested parallel constructs inside a search see the budget honestly
-    drained. Each server instance gets a fresh {e epoch}, which scopes
+    Each server instance gets a fresh {e epoch}, which scopes
     the validation memo: verdicts never bleed between epochs, while
     requests within one epoch still share them.
 

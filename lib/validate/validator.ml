@@ -229,8 +229,10 @@ let template_cache_max = 8192
    later request paid a full recompile per pop. With LRU the cache
    tracks each request's working set; eviction displaces the
    least-recently-hit template (counted, observable in [stats]). The
-   cache stays domain-local, so no lock: [Lru.t] is single-domain. *)
-let template_cache_key : (string, Tcompile.t) Lru.t Domain.DLS.key =
+   cache stays domain-local, so no lock: [Lru.t] is single-domain. A
+   MAXRANK refusal is cached too (as [None]), so an over-MAXRANK
+   template compiles and overflows at most once per domain. *)
+let template_cache_key : (string, Tcompile.t option) Lru.t Domain.DLS.key =
   Domain.DLS.new_key (fun () -> Lru.create ~cap:template_cache_max)
 
 (* [None] = the template exceeds the fixed MAXRANK scratch capacity; the
@@ -241,18 +243,21 @@ let compiled_template_for template : Tcompile.t option =
   match Lru.find cache key with
   | Some ct ->
       bump c_template_cache_hits;
-      Some ct
-  | None -> (
-      match Tcompile.compile_template ~const_symbol:Templatize.const_symbol template with
-      | exception Tcompile.Rank_overflow _ ->
-          bump c_template_overflows;
-          None
-      | ct ->
-          bump c_template_compiles;
-          (match Lru.add cache key ct with
-          | Some _ -> bump c_template_cache_evictions
-          | None -> ());
-          Some ct)
+      ct
+  | None ->
+      let ct =
+        match Tcompile.compile_template ~const_symbol:Templatize.const_symbol template with
+        | exception Tcompile.Rank_overflow _ ->
+            bump c_template_overflows;
+            None
+        | ct ->
+            bump c_template_compiles;
+            Some ct
+      in
+      (match Lru.add cache key ct with
+      | Some _ -> bump c_template_cache_evictions
+      | None -> ());
+      ct
 
 (* Instantiation observability: the count is accumulated per call (no
    shared counter on the hot path — the old global [ref] raced under the

@@ -8,9 +8,9 @@
      kernel is rejected with the expected message;
    - Prune: rule-doom tables and the packed arity-clash tracker;
    - pipeline fail-fast end-to-end on the diagnostics kernels;
-   - the analysis-on/off differential: solved sets, attempt counts and
-     first solutions must be byte-identical, with
-     [expansions_on + suppressed_on = expansions_off]. *)
+   - the analysis-on/off differential against committed analysis-off
+     counts: solved sets, attempt counts and first solutions must be
+     byte-identical, with [expansions_on + suppressed_on = expansions_off]. *)
 
 open Stagg_minic
 module Suite = Stagg_benchsuite.Suite
@@ -353,21 +353,6 @@ let test_fail_fast () =
       | None -> Alcotest.failf "%s has no failure message" b.name)
     Suite.diagnostics
 
-let test_no_analysis_searches () =
-  (* with the analysis off the same kernels reach the search (and fail
-     there or in preparation, but not with the analyzer's diagnostic) *)
-  List.iter
-    (fun (b : Bench.t) ->
-      let m = Stagg.Method_.without_analysis Stagg.Method_.stagg_td in
-      let r = Stagg.Pipeline.run m b in
-      check_bool (b.name ^ " unsolved") false r.Stagg.Result_.solved;
-      match r.failure with
-      | Some msg ->
-          check_bool (b.name ^ " not the analyzer's message") false
-            (contains_sub msg "not liftable: ")
-      | None -> Alcotest.failf "%s has no failure message" b.name)
-    Suite.diagnostics
-
 (* ---- the analysis-on/off differential ---- *)
 
 let first_solution (r : Stagg.Result_.t) =
@@ -381,41 +366,88 @@ let first_solution (r : Stagg.Result_.t) =
    the same baseline pop sequence:
      off.expansions = admission.expansions + admission.suppressed.
 
+   The off side is a committed table: one row per (method, bench) of
+   Suite.artificial, recorded with the analysis switched off before that
+   switch was removed — (label, bench, solved, attempts, first solution,
+   off expansions).
+
    The identity only holds when every stop is deterministic (attempt /
    expansion / frontier caps). The wall-clock backstop would cut a run
    at whatever pop the 64-pop poll lands on, which depends on machine
    load — the heaviest artificial searches sit near the 10 s default
    under a loaded domain pool — so the differential runs with the
    timeout disabled. *)
+let analysis_off_rows =
+  [
+    ("STAGG^TD", "art_copy", true, 1, "R(i) = A(i)", 4);
+    ("STAGG^TD", "art_scal_const", true, 1, "R(i) = A(i) * 5", 12);
+    ("STAGG^TD", "art_vec_add", true, 1, "R(i) = A(i) + B(i)", 10);
+    ("STAGG^TD", "art_dot", true, 1, "R = A(i) * B(i)", 11);
+    ("STAGG^TD", "art_outer", true, 3, "R(i, j) = A(i) * B(j)", 21);
+    ("STAGG^TD", "art_gemv", true, 1, "R(i) = A(i, j) * X(j)", 10);
+    ("STAGG^TD", "art_gemm", true, 11, "R(i, j) = A(i, k) * B(k, j)", 34);
+    ("STAGG^TD", "art_ttv", true, 23, "R(i, j) = A(i, j, k) * X(k)", 120);
+    ("STAGG^TD", "art_ttm", true, 2, "R(i, j, k) = A(i, j, l) * B(k, l)", 13);
+    ("STAGG^TD", "art_mttkrp", true, 1, "R(i, j) = A(i, k, l) * (B(k, j) * C(l, j))", 287);
+    ("STAGG^BU", "art_copy", true, 1, "R(i) = A(i)", 4);
+    ("STAGG^BU", "art_scal_const", true, 1, "R(i) = A(i) * 5", 7);
+    ("STAGG^BU", "art_vec_add", true, 1, "R(i) = A(i) + B(i)", 7);
+    ("STAGG^BU", "art_dot", true, 1, "R = A(i) * B(i)", 7);
+    ("STAGG^BU", "art_outer", true, 5, "R(i, j) = A(i) * B(j)", 19);
+    ("STAGG^BU", "art_gemv", true, 1, "R(i) = A(i, j) * X(j)", 7);
+    ("STAGG^BU", "art_gemm", true, 4, "R(i, j) = A(i, k) * B(k, j)", 15);
+    ("STAGG^BU", "art_ttv", true, 23, "R(i, j) = A(i, j, k) * X(k)", 109);
+    ("STAGG^BU", "art_ttm", true, 2, "R(i, j, k) = A(i, j, l) * B(k, l)", 8);
+    ("STAGG^BU", "art_mttkrp", true, 1, "R(i, j) = A(i, k, l) * B(k, j) * C(l, j)", 10);
+    ("STAGG^TD.FullGrammar", "art_copy", true, 6, "R(i) = A(i)", 12);
+    ("STAGG^TD.FullGrammar", "art_scal_const", true, 14, "R(i) = 5 * A(i)", 92);
+    ("STAGG^TD.FullGrammar", "art_vec_add", true, 137, "R(i) = A(i) + B(i)", 391);
+    ("STAGG^TD.FullGrammar", "art_dot", true, 76, "R = A(i) * B(i)", 298);
+    ("STAGG^TD.FullGrammar", "art_outer", true, 7968, "R(j, i) = B(i) * A(j)", 23960);
+    ("STAGG^TD.FullGrammar", "art_gemv", true, 2554, "R(i) = X(j) * A(i, j)", 8306);
+    ("STAGG^TD.FullGrammar", "art_gemm", true, 11452, "R(j, i) = B(k, i) * A(j, k)", 41194);
+    ("STAGG^TD.FullGrammar", "art_ttv", false, 40960, "<none>", 253038);
+    ("STAGG^TD.FullGrammar", "art_ttm", false, 0, "<none>", 142825);
+    ("STAGG^TD.FullGrammar", "art_mttkrp", false, 0, "<none>", 197565);
+    ("STAGG^BU.FullGrammar", "art_copy", true, 5, "R(i) = A(i)", 11);
+    ("STAGG^BU.FullGrammar", "art_scal_const", true, 57, "R(i) = A(i) * 5", 105);
+    ("STAGG^BU.FullGrammar", "art_vec_add", true, 193, "R(i) = A(i) + B(i)", 297);
+    ("STAGG^BU.FullGrammar", "art_dot", true, 34, "R = A(i) * B(i)", 110);
+    ("STAGG^BU.FullGrammar", "art_outer", true, 9036, "R(j, i) = B(i) * A(j)", 10133);
+    ("STAGG^BU.FullGrammar", "art_gemv", true, 867, "R(i) = X(j) * A(i, j)", 1404);
+    ("STAGG^BU.FullGrammar", "art_gemm", true, 9687, "R(j, i) = B(k, i) * A(j, k)", 11599);
+    ("STAGG^BU.FullGrammar", "art_ttv", false, 60000, "<none>", 69106);
+    ("STAGG^BU.FullGrammar", "art_ttm", false, 0, "<none>", 135257);
+    ("STAGG^BU.FullGrammar", "art_mttkrp", false, 0, "<none>", 37290);
+  ]
+
 let test_differential () =
-  let benches = Suite.artificial in
-  let total_suppressed = ref 0 in
-  List.iter
-    (fun (m : Stagg.Method_.t) ->
-      let m =
-        { m with budget = { m.budget with Stagg_search.Astar.timeout_s = Float.infinity } }
-      in
-      let off = Stagg.Pipeline.run_suite (Stagg.Method_.without_analysis m) benches in
-      let adm = Stagg.Pipeline.run_suite m benches in
-      List.iter2
-        (fun (b : Stagg.Result_.t) (a : Stagg.Result_.t) ->
-          let lbl = m.label ^ "/" ^ b.bench in
-          check_bool (lbl ^ " admission solved") b.solved a.solved;
-          check_int (lbl ^ " admission attempts") b.attempts a.attempts;
-          check_string (lbl ^ " admission first solution") (first_solution b)
-            (first_solution a);
-          check_int (lbl ^ " off suppresses nothing") 0 b.suppressed;
-          check_int (lbl ^ " admission pops partitioned") b.expansions
-            (a.expansions + a.suppressed);
-          total_suppressed := !total_suppressed + a.suppressed)
-        off adm)
-    [
-      Stagg.Method_.stagg_td;
-      Stagg.Method_.stagg_bu;
-      Stagg.Method_.td_full_grammar;
-      Stagg.Method_.bu_full_grammar;
-    ];
-  check_bool "admission suppressed something" true (!total_suppressed > 0)
+  let adm =
+    List.concat_map
+      (fun (m : Stagg.Method_.t) ->
+        let m =
+          { m with budget = { m.budget with Stagg_search.Astar.timeout_s = Float.infinity } }
+        in
+        Stagg.Pipeline.run_suite m Suite.artificial)
+      [
+        Stagg.Method_.stagg_td;
+        Stagg.Method_.stagg_bu;
+        Stagg.Method_.td_full_grammar;
+        Stagg.Method_.bu_full_grammar;
+      ]
+  in
+  check_int "one analysis-off row per run" (List.length analysis_off_rows) (List.length adm);
+  List.iter2
+    (fun (label, bench, solved, attempts, first, expansions) (a : Stagg.Result_.t) ->
+      let lbl = a.method_label ^ "/" ^ a.bench in
+      check_string (lbl ^ " row") (label ^ "/" ^ bench) lbl;
+      check_bool (lbl ^ " admission solved") solved a.solved;
+      check_int (lbl ^ " admission attempts") attempts a.attempts;
+      check_string (lbl ^ " admission first solution") first (first_solution a);
+      check_int (lbl ^ " admission pops partitioned") expansions (a.expansions + a.suppressed))
+    analysis_off_rows adm;
+  let suppressed = List.fold_left (fun n (a : Stagg.Result_.t) -> n + a.suppressed) 0 adm in
+  check_bool "admission suppressed something" true (suppressed > 0)
 
 (* The diagnostics kernels exercise the fail-fast path: with the analysis
    on, both searches must reject before any search. *)
@@ -467,7 +499,6 @@ let () =
       ( "fail fast",
         [
           Alcotest.test_case "diagnostics rejected before search" `Quick test_fail_fast;
-          Alcotest.test_case "--no-analysis reaches the search" `Quick test_no_analysis_searches;
         ] );
       ( "differential",
         [

@@ -82,20 +82,18 @@ let check_method args (expected : Stagg.Method_.t) =
 let test_flags_map_to_method () =
   let td = Stagg.Method_.stagg_td in
   check_method [] td;
-  check_method [ "--no-analysis" ] { td with analysis = false };
   check_method [ "--oracle"; "default" ] td;
   check_method [ "--oracle"; "trace+llm" ] { td with oracle = Stagg.Method_.Oracle_trace_llm };
-  check_method
-    [ "--no-analysis"; "--oracle"; "trace" ]
-    { td with analysis = false; oracle = Stagg.Method_.Oracle_trace }
+  check_method [ "--oracle"; "trace" ] { td with oracle = Stagg.Method_.Oracle_trace }
 
-(* Both are cmdliner usage errors (exit 124): a bad enum value fails
-   to parse, and the validator-mode flag, removed with the per-candidate
-   validator knob, is now an unknown option. *)
+(* All are cmdliner usage errors (exit 124): a bad enum value fails
+   to parse, and the validator-mode and analysis-off flags, removed with
+   the knobs they set, are now unknown options. *)
 let test_bad_flag_values_rejected () =
   check_bool "--oracle gpt" true (eval_flags [ "--oracle"; "gpt" ] = Error `Parse);
   check_bool "--batched-validate off" true
-    (eval_flags [ "--batched-validate"; "off" ] = Error `Term)
+    (eval_flags [ "--batched-validate"; "off" ] = Error `Term);
+  check_bool "--no-analysis" true (eval_flags [ "--no-analysis" ] = Error `Term)
 
 let () =
   Alcotest.run "stagg_cli_units"

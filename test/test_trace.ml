@@ -121,21 +121,16 @@ let test_trace_solves_artificial () =
     Suite.artificial
 
 let test_trace_refuses_diagnostics_e2e () =
-  (* with the static fail-fast on, the analysis rejects these before the
-     oracle is ever consulted — run with it off so the refusal itself is
-     what surfaces, as a structured failure, never a panic or a template *)
-  let m = { Stagg.Method_.td_trace with analysis = false } in
+  (* the static fail-fast rejects these before the oracle is ever
+     consulted, so the refusal is checked where the oracle runs: a
+     structured failure, never a panic or a template *)
+  let m = Stagg.Method_.td_trace in
   List.iter
     (fun (b : Bench.t) ->
-      let r = Stagg.Pipeline.run m b in
-      check_bool (b.name ^ " unsolved under Trace") false r.Stagg.Result_.solved;
-      check_bool (b.name ^ " not traced") false r.traced;
-      check_int (b.name ^ " no templates") 0 r.trace_templates;
-      check_bool
-        (b.name ^ " surfaces the refusal")
-        true
-        (List.exists (contains_sub "trace: ") r.warnings
-        || (match r.failure with Some f -> contains_sub "trace: " f | None -> false)))
+      check_bool (b.name ^ " unsolved under Trace") false (Stagg.Pipeline.run m b).solved;
+      match Stagg.Pipeline.prefix_of_query (Stagg.Pipeline.query_of_bench m b) with
+      | Ok _ -> Alcotest.failf "%s: the trace oracle yielded candidates" b.name
+      | Error reason -> check_bool (b.name ^ " surfaces the refusal") true (contains_sub "trace: " reason))
     Suite.diagnostics
 
 (* ---- Trace+LLM is a superset of plain LLM on pinned queries ---- *)

@@ -339,103 +339,6 @@ let test_pool_map_reduce () =
   in
   check_string "ordered reduce" "12345" cat
 
-(* ---- Pool: the helper-domain budget ---- *)
-
-let test_pool_budget_accounting () =
-  Pool.with_budget 5 (fun () ->
-      check_int "budget set" 5 (Pool.budget ());
-      let got = Pool.claim ~max:3 in
-      check_int "claim grants up to max" 3 got;
-      check_int "claim debits" 2 (Pool.budget ());
-      (* explicit (claim_exact) requests may overdraw — the budget floor
-         is 0, and release pays the debt back *)
-      Pool.claim_exact 4;
-      check_int "overdrawn budget reads 0" 0 (Pool.budget ());
-      check_int "no grants while overdrawn" 0 (Pool.claim ~max:2);
-      Pool.release 4;
-      check_int "release restores" 2 (Pool.budget ());
-      Pool.release 3;
-      check_int "fully restored" 5 (Pool.budget ()));
-  Pool.with_budget 7 (fun () -> check_int "nested budget visible" 7 (Pool.budget ()))
-
-let test_pool_budget_restored () =
-  let before = Pool.budget () in
-  (try Pool.with_budget 3 (fun () -> raise Exit) with Exit -> ());
-  check_int "with_budget restores on raise" before (Pool.budget ())
-
-(* Restore-race regression: a claim made while [with_budget]'s body runs
-   must survive the restore. The old restore blindly overwrote the
-   counter with the saved value, erasing the claim — the racing claimer
-   would later [release] into a counter that never recorded its debit,
-   inflating the budget for the rest of the process. *)
-let test_pool_with_budget_restore_compensates () =
-  Pool.with_budget 8 (fun () ->
-      Pool.with_budget 4 (fun () -> Pool.claim_exact 3);
-      check_int "outstanding claim survives the restore" 5 (Pool.budget ());
-      Pool.release 3;
-      check_int "balanced once the claimer releases" 8 (Pool.budget ());
-      (* fast path: an undisturbed region restores exactly *)
-      Pool.with_budget 2 (fun () -> check_int "inner budget visible" 2 (Pool.budget ()));
-      check_int "undisturbed restore is exact" 8 (Pool.budget ()))
-
-let test_pool_with_budget_racing_claimer () =
-  Pool.with_budget 10 (fun () ->
-      let claimed = Atomic.make false in
-      Pool.with_budget 6 (fun () ->
-          let d =
-            Domain.spawn (fun () ->
-                Pool.claim_exact 2;
-                Atomic.set claimed true)
-          in
-          while not (Atomic.get claimed) do
-            Domain.cpu_relax ()
-          done;
-          Domain.join d);
-      check_int "claim from another domain survives the restore" 8 (Pool.budget ());
-      Pool.release 2;
-      check_int "balanced once the claimer releases" 10 (Pool.budget ()))
-
-(* Oversubscription regression: with a zero budget, a DEFAULT-jobs map
-   must run entirely on the calling domain (no helper spawn), and nested
-   default maps under an explicit outer map must clamp to sequential
-   because the outer map already debited the only helper slot. Before
-   the budget existed, [run_suite ~jobs:N] nested over parallel searches
-   would spawn jobs × K domains. *)
-let test_pool_budget_clamps_default_jobs () =
-  Pool.with_budget 0 (fun () ->
-      let self = Domain.self () in
-      let helper_ran = Atomic.make false in
-      let r =
-        Pool.map
-          (fun x ->
-            if Domain.self () <> self then Atomic.set helper_ran true;
-            x * 2)
-          (List.init 64 Fun.id)
-      in
-      check_bool "zero budget: all tasks on the caller" false (Atomic.get helper_ran);
-      check_bool "map still correct" true (r = List.init 64 (fun i -> i * 2)))
-
-let test_pool_nested_defaults_clamp () =
-  Pool.with_budget 1 (fun () ->
-      let inner_helpers = Atomic.make 0 in
-      let outer =
-        Pool.map ~jobs:2
-          (fun x ->
-            let self = Domain.self () in
-            ignore
-              (Pool.map
-                 (fun y ->
-                   if Domain.self () <> self then Atomic.incr inner_helpers;
-                   y)
-                 (List.init 16 Fun.id));
-            x)
-          [ 1; 2; 3; 4 ]
-      in
-      check_bool "outer map correct" true (outer = [ 1; 2; 3; 4 ]);
-      check_int "inner default maps spawned no helpers" 0 (Atomic.get inner_helpers));
-  check_bool "explicit jobs honored outside any budget" true
-    (Pool.map ~jobs:3 (fun x -> x + 1) [ 1; 2; 3 ] = [ 2; 3; 4 ])
-
 (* ---- Fpset ---- *)
 
 let test_fpset_check_add () =
@@ -452,27 +355,6 @@ let test_fpset_check_add () =
     if not (Fpset.mem s (i * 7919)) then incr missing
   done;
   check_int "all members retained" 0 !missing
-
-(* Kill-mid-request (PR 10): a serve request claims a pool slot, runs,
-   and may die on any path — C parse error, search exception, timeout.
-   The server pairs every [claim_exact] with a [Fun.protect]ed release;
-   this pins the discipline at the pool level, including an exception
-   that crosses a domain join (the killed-worker shape). *)
-let test_pool_claim_release_on_kill () =
-  Pool.with_budget 6 (fun () ->
-      let handle die () =
-        Pool.claim_exact 1;
-        Fun.protect
-          ~finally:(fun () -> Pool.release 1)
-          (fun () -> if die then raise Exit else ())
-      in
-      (try handle true () with Exit -> ());
-      check_int "claim released when the handler raises" 6 (Pool.budget ());
-      handle false ();
-      check_int "claim released on the normal path" 6 (Pool.budget ());
-      let d = Domain.spawn (fun () -> try handle true () with Exit -> ()) in
-      Domain.join d;
-      check_int "claim released when a worker domain dies mid-request" 6 (Pool.budget ()))
 
 (* ---- Lru ---- *)
 
@@ -622,17 +504,6 @@ let () =
           Alcotest.test_case "exception propagation" `Quick test_pool_exception_propagates;
           Alcotest.test_case "poison stops claiming" `Quick test_pool_poison_stops_claiming;
           Alcotest.test_case "ordered map_reduce" `Quick test_pool_map_reduce;
-          Alcotest.test_case "budget accounting" `Quick test_pool_budget_accounting;
-          Alcotest.test_case "budget restored on raise" `Quick test_pool_budget_restored;
-          Alcotest.test_case "restore compensates racing claims" `Quick
-            test_pool_with_budget_restore_compensates;
-          Alcotest.test_case "restore survives a racing domain" `Quick
-            test_pool_with_budget_racing_claimer;
-          Alcotest.test_case "zero budget clamps default jobs" `Quick
-            test_pool_budget_clamps_default_jobs;
-          Alcotest.test_case "nested defaults clamp" `Quick test_pool_nested_defaults_clamp;
-          Alcotest.test_case "claim released on kill-mid-request" `Quick
-            test_pool_claim_release_on_kill;
         ] );
       ( "lru",
         [

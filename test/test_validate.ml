@@ -212,6 +212,7 @@ let test_rank_overflow_fallback () =
   let st2 = Validator.stats () in
   check_int "memoized rerun misses nothing" st1.memo_misses st2.memo_misses;
   check_bool "memoized rerun hits" true (st2.memo_hits > st1.memo_hits);
+  check_int "the refusal is cached: still one overflow" 1 st2.template_overflows;
   Validator.clear_memo ()
 
 (* ---- the compiled-template cache's LRU regression ----
