@@ -1,133 +1,27 @@
-(** The benchmark harness: regenerates every table and figure of the
-    paper's evaluation (§8) and runs Bechamel micro-benchmarks — one
-    [Test.make] per experiment — timing a representative query for each.
+(** The benchmark harness. One mode flag picks its job:
 
-    Run with: [dune exec bench/main.exe]
-    Pass [--skip-ablations] to produce only Table 1 and Figures 9–10;
-    pass [--skip-bechamel] to skip the micro-benchmark pass;
-    pass [--jobs N] (or [-j N]) to run the experiment sweeps on a pool
-    of N domains (default: [Domain.recommended_domain_count () - 1];
-    [--jobs 1] reproduces the sequential harness exactly, modulo
-    timing); pass [--json FILE] to also write the machine-readable
-    summary as JSON for perf-trajectory tracking; pass [--smoke] for
-    the <60s artificial-suite CI sweep ([dune build @smoke] runs it and
-    diffs the JSON against the committed expectations). [--help] lists
-    every flag. *)
+    - none: the paper's evaluation campaign (§8), every table and
+      figure; [--skip-ablations] keeps only Table 1 and Figures 9–10;
+    - [--smoke]: the <60s artificial-suite CI sweep ([dune build @smoke]
+      runs it and diffs the JSON against the committed expectations);
+      [--oracle] and [--frontier-ceiling] steer this mode only;
+    - [--serve-smoke], [--serve-load]: the lift-as-a-service legs.
+
+    Run with: [dune exec bench/main.exe]. Pass [--jobs N] (or [-j N]) to
+    run on a pool of N domains (default:
+    [Domain.recommended_domain_count ()]; [--jobs 1] reproduces the
+    sequential harness exactly, modulo timing) and [--json FILE] to also
+    write the machine-readable summary. Two mode flags, or a flag outside
+    its mode, is a usage error (exit 124). [--help] lists every flag. *)
 
 module Experiments = Stagg_report.Experiments
 module Method_flags = Stagg_cmdline.Method_flags
 
-let representative name =
-  match Stagg_benchsuite.Suite.find name with
-  | Some b -> b
-  | None -> failwith ("missing benchmark " ^ name)
-
-(* ---- Bechamel micro-benchmarks: one per table/figure ---- *)
-
-(* The staged evaluator vs the reference interpreter on the validation
-   hot path: gemv at the validator's own example sizes (N=3, M=4). The
-   compiled program is built once outside the timed closure, as the
-   validator compiles once per instantiation and evaluates per example. *)
-let evaluator_tests () =
-  let open Bechamel in
-  let module T = Stagg_taco.Tensor in
-  let module I = Stagg_taco.Interp.Make (Stagg_util.Value.Rat_value) in
-  let module C = Stagg_taco.Compile.Make (Stagg_util.Value.Rat_value) in
-  let p = Stagg_taco.Parser.parse_program_exn "R(i) = A(i, j) * X(j)" in
-  let r = Stagg_util.Rat.of_int in
-  let env =
-    [
-      ("A", T.of_flat_array [| 3; 4 |] (Array.init 12 (fun k -> r (k + 1))));
-      ("X", T.of_flat_array [| 4 |] (Array.init 4 (fun k -> r (k + 2))));
-    ]
-  in
-  let lhs_shape = [| 3 |] in
-  let expected =
-    match I.run ~env ~lhs_shape p with
-    | Ok t -> T.to_flat_array t
-    | Error e -> failwith e
-  in
-  let compiled = C.compile p in
-  (* the same kernel as the validator sees it: a template whose symbols
-     are substituted per candidate — once by instantiate+compile (the
-     per-candidate path), once by rebind over the shared template
-     compilation (the batched path) *)
-  let template = Stagg_taco.Parser.parse_program_exn "a(i) = b(i, j) * c(j)" in
-  let mapping = [ ("a", "R"); ("b", "A"); ("c", "X") ] in
-  let template_compiled = C.compile_template template in
-  [
-    Test.make ~name:"validator kernel: gemv Interp.run"
-      (Staged.stage (fun () -> ignore (I.run ~env ~lhs_shape p)));
-    Test.make ~name:"validator kernel: gemv Compile.run_equal"
-      (Staged.stage (fun () -> ignore (C.run_equal compiled ~env ~lhs_shape ~expected)));
-    Test.make ~name:"validator kernel: gemv instantiate+compile+run_equal"
-      (Staged.stage (fun () ->
-           let concrete = Stagg_template.Templatize.rename template ~mapping ~const:None in
-           let c = C.compile concrete in
-           ignore (C.run_equal c ~env ~lhs_shape ~expected)));
-    Test.make ~name:"validator kernel: gemv rebind+run_equal (batched)"
-      (Staged.stage (fun () ->
-           C.rebind template_compiled ~mapping ~const:None;
-           ignore (C.run_equal template_compiled ~env ~lhs_shape ~expected)));
-  ]
-
-let bechamel_tests () =
-  let open Bechamel in
-  let gemv = representative "art_gemv" in
-  let run_method m () = ignore (Stagg.Pipeline.run m gemv) in
-  let staged f = Staged.stage f in
-  evaluator_tests ()
-  @ [
-    (* Table 1 / Fig 9 / Fig 10: the head-to-head methods *)
-    Test.make ~name:"table1/fig9/fig10 STAGG_TD" (staged (run_method Stagg.Method_.stagg_td));
-    Test.make ~name:"table1/fig9/fig10 STAGG_BU" (staged (run_method Stagg.Method_.stagg_bu));
-    Test.make ~name:"table1 LLM-only"
-      (staged (fun () -> ignore (Stagg_baselines.Llm_only.run ~seed:1 gemv)));
-    Test.make ~name:"table1 C2TACO"
-      (staged (fun () -> ignore (Stagg_baselines.C2taco.run ~seed:1 ~heuristics:true gemv)));
-    Test.make ~name:"table1 Tenspiler"
-      (staged (fun () -> ignore (Stagg_baselines.Tenspiler.run ~seed:1 gemv)));
-    (* Table 2: the penalty machinery *)
-    Test.make ~name:"table2 STAGG_TD.Drop(A)"
-      (staged (run_method (Stagg.Method_.drop_all_penalties Stagg.Method_.stagg_td "A")));
-    (* Table 3 / Figs 11-12: grammar configurations *)
-    Test.make ~name:"table3/fig11 TD.EqualProbability"
-      (staged (run_method Stagg.Method_.td_equal_probability));
-    Test.make ~name:"table3/fig11 TD.LLMGrammar" (staged (run_method Stagg.Method_.td_llm_grammar));
-    Test.make ~name:"table3/fig12 TD.FullGrammar"
-      (staged (run_method Stagg.Method_.td_full_grammar));
-    ]
-
-(* Each Bechamel test is self-contained, so the micro-benchmark pass runs
-   on the same domain pool as the experiment sweeps; workers return their
-   report lines and the caller prints them in test order. Expect a little
-   more measurement noise at [jobs > 1] — worker domains share the
-   machine while measuring. *)
-let run_bechamel ~jobs () =
-  let open Bechamel in
-  let open Toolkit in
-  print_endline "== Bechamel micro-benchmarks (one per experiment; gemv query) ==";
-  let instances = [ Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:20 ~quota:(Time.second 0.5) () in
-  let measure test =
-    let buf = Buffer.create 128 in
-    let results = Benchmark.all cfg instances test in
-    Hashtbl.iter
-      (fun name raw ->
-        match
-          Analyze.one
-            (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-            Instance.monotonic_clock raw
-        with
-        | ols -> (
-            match Analyze.OLS.estimates ols with
-            | Some [ est ] -> Printf.bprintf buf "  %-44s %14.0f ns/run\n" name est
-            | _ -> Printf.bprintf buf "  %-44s (no estimate)\n" name)
-        | exception _ -> Printf.bprintf buf "  %-44s (analysis failed)\n" name)
-      results;
-    Buffer.contents buf
-  in
-  List.iter print_string (Stagg_util.Pool.map ~jobs measure (bechamel_tests ()))
+let write_file file contents =
+  let oc = open_out file in
+  output_string oc contents;
+  close_out oc;
+  Printf.eprintf "[bench] wrote %s\n%!" file
 
 (* ---- smoke mode: a <60s CI sweep over the artificial suite ----
 
@@ -167,26 +61,6 @@ let smoke_json rows =
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
 
-(* [--strip-schema-version SRC DST]: copy SRC to DST minus the
-   "schema_version" line. The @smoke alias diffs generated summaries
-   against expectations committed before the field existed; stripping on
-   the generated side keeps that comparison byte-for-byte while the
-   emitted files stay versioned for downstream consumers. *)
-let strip_schema_version src dst =
-  let ic = open_in src in
-  let oc = open_out dst in
-  (try
-     while true do
-       let line = input_line ic in
-       if not (String.starts_with ~prefix:"\"schema_version\"" (String.trim line)) then begin
-         output_string oc line;
-         output_char oc '\n'
-       end
-     done
-   with End_of_file -> ());
-  close_in ic;
-  close_out oc
-
 let run_smoke ~jobs ~json_file ~frontier_ceiling ~tune () =
   let benches = Stagg_benchsuite.Suite.artificial in
   let t0 = Unix.gettimeofday () in
@@ -202,13 +76,7 @@ let run_smoke ~jobs ~json_file ~frontier_ceiling ~tune () =
       Printf.printf "  %-24s solved %2d/%d\n" label solved (List.length rs))
     rows;
   Printf.printf "smoke wall: %.1fs\n" (Unix.gettimeofday () -. t0);
-  (match json_file with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      output_string oc (smoke_json rows);
-      close_out oc;
-      Printf.eprintf "[bench] wrote %s\n%!" file);
+  Option.iter (fun file -> write_file file (smoke_json rows)) json_file;
   (* memory regression gate: the frontier high-water marks of the
      sweep's searches, summed, must stay under the recorded ceiling. The
      frontier is what a search retains, and each high-water mark is a
@@ -257,7 +125,7 @@ let run_diagnostics () =
    requests and a stats probe — through one in-process server, cold
    then warm, at jobs = 1. Every response field except per-request wall
    time is deterministic, so the normalized output is byte-diffed
-   against committed expectations by the fifth @smoke leg: a drift
+   against committed expectations by the serve leg of @smoke: a drift
    means the cache/single-flight/remap behavior changed, not noise.
 
    [--serve-load] replays the full 77-benchmark suite twice through a
@@ -268,6 +136,7 @@ let run_diagnostics () =
    JSON snapshot. *)
 
 module J = Stagg_serve.Json
+module Cache = Stagg_serve.Cache
 
 (* Per-request wall time is the only nondeterministic response field;
    drop it, keep everything else byte-exact. *)
@@ -328,11 +197,7 @@ let run_serve_smoke ~jobs ~json_file () =
   Printf.printf "serve smoke wall: %.1fs\n" (Unix.gettimeofday () -. t0);
   match json_file with
   | None -> print_string (Buffer.contents buf)
-  | Some file ->
-      let oc = open_out file in
-      output_string oc (Buffer.contents buf);
-      close_out oc;
-      Printf.eprintf "[bench] wrote %s\n%!" file
+  | Some file -> write_file file (Buffer.contents buf)
 
 (* Nearest-rank percentile over an ascending array. *)
 let percentile sorted p =
@@ -409,16 +274,13 @@ let run_serve_load ~jobs ~json_file () =
   check "warm" pass2;
   (* warm-cache replay must be O(1): every repeat answered from cache,
      zero new searches admitted *)
-  if s2.Stagg_serve.Cache.misses <> s1.Stagg_serve.Cache.misses then begin
+  if s2.Cache.misses <> s1.Cache.misses then begin
     incr failures;
     Printf.eprintf "[bench] FAIL: warm pass ran %d fresh searches (expected 0)\n%!"
-      (s2.Stagg_serve.Cache.misses - s1.Stagg_serve.Cache.misses)
+      (s2.Cache.misses - s1.Cache.misses)
   end;
-  let lift_total = s2.Stagg_serve.Cache.hits + s2.Stagg_serve.Cache.misses + s2.Stagg_serve.Cache.joins in
-  let hit_rate =
-    float_of_int (s2.Stagg_serve.Cache.hits + s2.Stagg_serve.Cache.joins)
-    /. float_of_int (max 1 lift_total)
-  in
+  let lift_total = s2.Cache.hits + s2.Cache.misses + s2.Cache.joins in
+  let hit_rate = float_of_int (s2.Cache.hits + s2.Cache.joins) /. float_of_int (max 1 lift_total) in
   if hit_rate < 0.5 then begin
     incr failures;
     Printf.eprintf "[bench] FAIL: cache hit rate %.3f below 0.5 on a 2x replay\n%!" hit_rate
@@ -442,45 +304,40 @@ let run_serve_load ~jobs ~json_file () =
     \  cache: hits %d  misses %d  joins %d  remaps %d  evictions %d  entries %d\n\
      serve load wall: %.1fs\n"
     (2 * List.length benches)
-    solved (List.length benches) hit_rate p50 p95 p99 s2.Stagg_serve.Cache.hits
-    s2.Stagg_serve.Cache.misses s2.Stagg_serve.Cache.joins s2.Stagg_serve.Cache.remaps
-    s2.Stagg_serve.Cache.evictions s2.Stagg_serve.Cache.entries wall_s;
-  (match json_file with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      Printf.fprintf oc
-        "{\n\
-        \  \"schema_version\": %d,\n\
-        \  \"suite\": \"serve-load\",\n\
-        \  \"jobs\": %d,\n\
-        \  \"requests\": %d,\n\
-        \  \"solved\": %d,\n\
-        \  \"total\": %d,\n\
-        \  \"hit_rate\": %.4f,\n\
-        \  \"p50_ms\": %.4f,\n\
-        \  \"p95_ms\": %.4f,\n\
-        \  \"p99_ms\": %.4f,\n\
-        \  \"wall_s\": %.3f,\n\
-        \  \"heap_words\": %d,\n\
-        \  \"cache\": { \"hits\": %d, \"misses\": %d, \"joins\": %d, \"remaps\": %d, \
-         \"evictions\": %d, \"entries\": %d }\n\
-         }\n"
-        Stagg_report.Experiments.schema_version jobs
-        (2 * List.length benches)
-        solved (List.length benches) hit_rate p50 p95 p99 wall_s heap_words
-        s2.Stagg_serve.Cache.hits s2.Stagg_serve.Cache.misses s2.Stagg_serve.Cache.joins
-        s2.Stagg_serve.Cache.remaps s2.Stagg_serve.Cache.evictions s2.Stagg_serve.Cache.entries;
-      close_out oc;
-      Printf.eprintf "[bench] wrote %s\n%!" file);
+    solved (List.length benches) hit_rate p50 p95 p99 s2.Cache.hits s2.Cache.misses
+    s2.Cache.joins s2.Cache.remaps s2.Cache.evictions s2.Cache.entries wall_s;
+  Option.iter
+    (fun file ->
+      write_file file
+        (Printf.sprintf
+           "{\n\
+           \  \"schema_version\": %d,\n\
+           \  \"suite\": \"serve-load\",\n\
+           \  \"jobs\": %d,\n\
+           \  \"requests\": %d,\n\
+           \  \"solved\": %d,\n\
+           \  \"total\": %d,\n\
+           \  \"hit_rate\": %.4f,\n\
+           \  \"p50_ms\": %.4f,\n\
+           \  \"p95_ms\": %.4f,\n\
+           \  \"p99_ms\": %.4f,\n\
+           \  \"wall_s\": %.3f,\n\
+           \  \"heap_words\": %d,\n\
+           \  \"cache\": { \"hits\": %d, \"misses\": %d, \"joins\": %d, \"remaps\": %d, \
+            \"evictions\": %d, \"entries\": %d }\n\
+            }\n"
+           Stagg_report.Experiments.schema_version jobs
+           (2 * List.length benches)
+           solved (List.length benches) hit_rate p50 p95 p99 wall_s heap_words
+           s2.Cache.hits s2.Cache.misses s2.Cache.joins s2.Cache.remaps s2.Cache.evictions
+           s2.Cache.entries))
+    json_file;
   if !failures > 0 then begin
     Printf.eprintf "[bench] FAIL: %d serve-load check(s) failed\n%!" !failures;
     exit 1
   end
 
-(* [--oracle] steers only --smoke: the campaign carries its own Trace and
-   Trace+LLM rows. *)
-let run_campaign ~skip_ablations ~skip_bechamel ~jobs ~json_file =
+let run_campaign ~skip_ablations ~jobs ~json_file =
   let progress msg = Printf.eprintf "[bench] %s\n%!" msg in
   let t0 = Unix.gettimeofday () in
   let runs =
@@ -491,41 +348,40 @@ let run_campaign ~skip_ablations ~skip_bechamel ~jobs ~json_file =
     (List.length Stagg_benchsuite.Suite.all)
     runs.seed;
   run_diagnostics ();
-  print_string (Experiments.table1 runs);
+  print_string (Experiments.report runs);
   print_newline ();
-  print_string (Experiments.fig9 runs);
-  print_newline ();
-  print_string (Experiments.fig10 runs);
-  print_newline ();
-  if not skip_ablations then begin
-    print_string (Experiments.table2 runs);
-    print_newline ();
-    print_string (Experiments.table3 runs);
-    print_newline ();
-    print_string (Experiments.fig11 runs);
-    print_newline ();
-    print_string (Experiments.fig12 runs);
-    print_newline ()
-  end;
   Printf.printf "== machine-readable summary (method, solved, avg time over solved, avg attempts) ==\n";
   print_string (Experiments.summary runs);
   let wall_s = Unix.gettimeofday () -. t0 in
   Printf.printf "\ntotal harness time: %.1fs\n" wall_s;
-  (match json_file with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      output_string oc (Experiments.json_summary ~jobs ~wall_s runs);
-      close_out oc;
-      Printf.eprintf "[bench] wrote %s\n%!" file);
-  if not skip_bechamel then run_bechamel ~jobs ()
+  Option.iter
+    (fun file -> write_file file (Experiments.json_summary ~jobs ~wall_s runs))
+    json_file
 
-let main smoke serve_smoke serve_load skip_ablations skip_bechamel flags frontier_ceiling jobs
-    json_file =
-  if serve_smoke then run_serve_smoke ~jobs ~json_file ()
-  else if serve_load then run_serve_load ~jobs ~json_file ()
-  else if smoke then run_smoke ~jobs ~json_file ~frontier_ceiling ~tune:(Method_flags.apply flags) ()
-  else run_campaign ~skip_ablations ~skip_bechamel ~jobs ~json_file
+type mode = Campaign | Smoke | Serve_smoke | Serve_load
+
+(* A flag that steers one mode is a usage error in any other: the
+   campaign carries its own Trace and Trace+LLM rows, so [--oracle]
+   would otherwise be silently ignored there. *)
+let main mode skip_ablations (flags : Method_flags.t) frontier_ceiling jobs json_file =
+  let misplaced =
+    List.find_opt
+      (fun (_, given, home, _) -> given && mode <> home)
+      [
+        ("--oracle", Option.is_some flags.oracle, Smoke, "--smoke");
+        ("--frontier-ceiling", Option.is_some frontier_ceiling, Smoke, "--smoke");
+        ("--skip-ablations", skip_ablations, Campaign, "the campaign (no mode flag)");
+      ]
+  in
+  match misplaced with
+  | Some (name, _, _, home) -> `Error (true, Printf.sprintf "%s applies only to %s" name home)
+  | None ->
+      (match mode with
+      | Campaign -> run_campaign ~skip_ablations ~jobs ~json_file
+      | Smoke -> run_smoke ~jobs ~json_file ~frontier_ceiling ~tune:(Method_flags.apply flags) ()
+      | Serve_smoke -> run_serve_smoke ~jobs ~json_file ()
+      | Serve_load -> run_serve_load ~jobs ~json_file ());
+      `Ok ()
 
 let positive_int =
   let parse s =
@@ -537,52 +393,50 @@ let positive_int =
 
 let cmd =
   let open Cmdliner in
-  let flag names doc = Arg.(value & flag & info names ~doc) in
+  let mode =
+    Arg.(
+      value
+      & vflag Campaign
+          [
+            ( Smoke,
+              info [ "smoke" ]
+                ~doc:"Run the <60s artificial-suite sweep behind $(b,dune build @smoke)." );
+            ( Serve_smoke,
+              info [ "serve-smoke" ]
+                ~doc:"Replay the deterministic serve request mix, cold then warm." );
+            ( Serve_load,
+              info [ "serve-load" ]
+                ~doc:
+                  "Replay the full suite twice through a server and check it against the direct \
+                   pipeline." );
+          ])
+  in
   let term =
     Term.(
-      const main
-      $ flag [ "smoke" ] "Run the <60s artificial-suite sweep behind $(b,dune build @smoke)."
-      $ flag [ "serve-smoke" ] "Replay the deterministic serve request mix, cold then warm."
-      $ flag [ "serve-load" ]
-          "Replay the full suite twice through a server and check it against the direct \
-           pipeline."
-      $ flag [ "skip-ablations" ] "Only Table 1 and Figures 9–10."
-      $ flag [ "skip-bechamel" ] "Skip the micro-benchmark pass."
-      $ Method_flags.term
-      $ Arg.(
-          value
-          & opt (some positive_int) None
-          & info [ "frontier-ceiling" ] ~docv:"ENTRIES"
-              ~doc:
-                "With $(b,--smoke): fail when the frontier high-water marks of the sweep's \
-                 searches sum to more than $(docv) entries.")
-      $ Arg.(
-          value
-          & opt positive_int (Stagg_util.Pool.default_jobs ())
-          & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Run the sweeps on a pool of $(docv) domains.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "json" ] ~docv:"FILE" ~doc:"Also write the machine-readable summary to $(docv)."))
+      ret
+        (const main $ mode
+        $ Arg.(value & flag & info [ "skip-ablations" ] ~doc:"Only Table 1 and Figures 9–10.")
+        $ Method_flags.term
+        $ Arg.(
+            value
+            & opt (some positive_int) None
+            & info [ "frontier-ceiling" ] ~docv:"ENTRIES"
+                ~doc:
+                  "With $(b,--smoke): fail when the frontier high-water marks of the sweep's \
+                   searches sum to more than $(docv) entries.")
+        $ Arg.(
+            value
+            & opt positive_int (Stagg_util.Pool.default_jobs ())
+            & info [ "j"; "jobs" ] ~docv:"N" ~doc:"Run the sweeps on a pool of $(docv) domains.")
+        $ Arg.(
+            value
+            & opt (some string) None
+            & info [ "json" ] ~docv:"FILE"
+                ~doc:"Also write the machine-readable summary to $(docv).")))
   in
-  Cmd.v
-    (Cmd.info "main.exe" ~doc:"Regenerate the paper's evaluation and run the CI sweeps."
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "$(b,main.exe --strip-schema-version SRC DST) copies SRC to DST minus its \
-              schema_version line (the @smoke alias normalizes summaries with it).";
-         ])
-    term
+  Cmd.v (Cmd.info "main.exe" ~doc:"Regenerate the paper's evaluation and run the CI sweeps.") term
 
 let () =
-  (* utility mode used by the @smoke alias; no campaign setup *)
-  (match Sys.argv with
-  | [| _; "--strip-schema-version"; src; dst |] ->
-      strip_schema_version src dst;
-      exit 0
-  | _ -> ());
   (* The campaign's hot loops (A* frontier, validation memo) allocate
      heavily against a large live heap; the default space_overhead of 120
      spends ~20% of search wall time in major-GC marking. Trading memory

@@ -315,21 +315,7 @@ let experiments_cmd =
       if core then Stagg_report.Experiments.run_core ~progress ~jobs ()
       else Stagg_report.Experiments.run_all ~progress ~jobs ()
     in
-    print_string (Stagg_report.Experiments.table1 runs);
-    print_newline ();
-    print_string (Stagg_report.Experiments.fig9 runs);
-    print_newline ();
-    print_string (Stagg_report.Experiments.fig10 runs);
-    if not core then begin
-      print_newline ();
-      print_string (Stagg_report.Experiments.table2 runs);
-      print_newline ();
-      print_string (Stagg_report.Experiments.table3 runs);
-      print_newline ();
-      print_string (Stagg_report.Experiments.fig11 runs);
-      print_newline ();
-      print_string (Stagg_report.Experiments.fig12 runs)
-    end
+    print_string (Stagg_report.Experiments.report runs)
   in
   Cmd.v
     (Cmd.info "experiments" ~doc:"Regenerate the paper's tables and figures (§8).")

@@ -393,6 +393,12 @@ let fig12 runs =
            [ label; fmt_n (n_solved rs); fmt_t (avg_time rs); Printf.sprintf "%.2f" (avg_attempts rs) ])
          configs)
 
+(* the ablation tables render only when [run_all] filled their rows *)
+let report runs =
+  String.concat "\n"
+    ([ table1 runs; fig9 runs; fig10 runs ]
+    @ if runs.td_drops = [] then [] else [ table2 runs; table3 runs; fig11 runs; fig12 runs ])
+
 let summary_rows runs =
   [
     ("STAGG_TD", runs.td);

@@ -1,8 +1,8 @@
 (** Experiment drivers regenerating every table and figure of paper §8.
 
     [run_all] executes every method/configuration over the suite once;
-    the [table*] / [fig*] renderers then slice that single set of runs,
-    exactly as the paper's tables slice one evaluation campaign. *)
+    {!report} then slices that single set of runs into every table and
+    figure, exactly as the paper's tables slice one evaluation campaign. *)
 
 open Stagg
 
@@ -58,20 +58,21 @@ val run_all : ?seed:int -> ?progress:(string -> unit) -> ?jobs:int -> unit -> ru
 (** Core methods only (Table 1 / Figs. 9–10), without the ablations. *)
 val run_core : ?seed:int -> ?progress:(string -> unit) -> ?jobs:int -> unit -> runs
 
+(** Table 1 alone, as {!report} renders it. *)
 val table1 : runs -> string
-val table2 : runs -> string
-val table3 : runs -> string
-val fig9 : runs -> string
+
+(** Figure 10 alone, as {!report} renders it. *)
 val fig10 : runs -> string
-val fig11 : runs -> string
-val fig12 : runs -> string
+
+(** [report runs] — the campaign's tables and figures in paper order,
+    separated by blank lines: Table 1, Figures 9–10, then Tables 2–3 and
+    Figures 11–12 when [runs] carries the ablations ({!run_all}; a
+    {!run_core} result has none). *)
+val report : runs -> string
 
 (** Machine-readable summary (one line per method row of each table) for
     EXPERIMENTS.md bookkeeping. *)
 val summary : runs -> string
-
-(** The (label, results) rows behind {!summary}, in summary order. *)
-val summary_rows : runs -> (string * Result_.t list) list
 
 (** Version of the JSON layouts emitted by this harness ({!json_summary}
     and the smoke summary in [bench/main.ml]). Bump when a field is

@@ -189,7 +189,7 @@ type 'sol engine = {
   validate : Stagg_taco.Ast.program -> 'sol option;
   frontier : item Pqueue.t;  (** priority f(x) *)
   sup : Ledger.t;  (** admission-suppressed (f, seq, fp, guards) keys *)
-  seen_fp : Fpset.t;  (** validated templates, fingerprints *)
+  seen_fp : (int, unit) Hashtbl.t;  (** validated templates, fingerprints *)
   pen_memo : (int, float) Hashtbl.t;
       (** fingerprint → penalty a complete template was pushed with; lets a
           duplicate's ghost reconstruct the same f without rescoring *)
@@ -208,6 +208,14 @@ type 'sol engine = {
   mutable timed_out : bool;  (** latched by the periodic clock check *)
   mutable stop : stop_reason;  (** which limit fired, for [Budget_exceeded] *)
 }
+
+(* [check_add seen fp]: insert [fp] if absent; [true] iff it was already
+   present. The test-and-set the dedup protocol needs. *)
+let check_add seen fp =
+  Hashtbl.mem seen fp
+  ||
+  (Hashtbl.add seen fp ();
+   false)
 
 (* every push — frontier or ledger — consumes one sequence number, so
    the numbering is exactly the baseline's push order *)
@@ -233,7 +241,7 @@ let make_engine ~pcfg ~fps ~penalty_ctx ~budget ~validate ~prune =
       validate;
       frontier = Pqueue.create ~dummy:Ghost;
       sup = Ledger.create ();
-      seen_fp = Fpset.create ();
+      seen_fp = Hashtbl.create 64;
       pen_memo = Hashtbl.create 64;
       fps;
       rule_cost;
@@ -319,7 +327,7 @@ let try_validate e ~fp (program : Stagg_taco.Ast.program option) : 'sol option =
   match program with
   | None -> None
   | Some p ->
-      if Fpset.check_add e.seen_fp fp then None
+      if check_add e.seen_fp fp then None
       else begin
         e.attempts <- e.attempts + 1;
         e.validate p
@@ -349,7 +357,7 @@ let push_complete e g ~c' ~pst:parent_pst ~ann:(parent_ann : Node.annotated) px 
        [pen_memo] holds the penalty its first twin was pushed with (equal
        template ⇒ equal metrics and AST ⇒ equal penalty), making the
        ghost's f bit-identical to the suppressed entry's. *)
-    if Fpset.mem e.seen_fp ann.Node.fp then
+    if Hashtbl.mem e.seen_fp ann.Node.fp then
       Hashtbl.find_opt e.pen_memo ann.Node.fp
     else None
   in
@@ -422,7 +430,7 @@ let push_expansions e (g : Cfg.t) ~c:parent_c ~ann:(parent_ann : Node.annotated)
    seen the first time it survives the same guards (the TD depth prune /
    the BU tensor-count gate) — validating it was a structural no-op. *)
 let replay_suppressed e ~fp =
-  if not (Fpset.check_add e.seen_fp fp) then e.attempts <- e.attempts + 1
+  if not (check_add e.seen_fp fp) then e.attempts <- e.attempts + 1
 
 (* The pop loop shared by both searches: drain the ledger and the
    frontier in merged (f, seq) order, charging the budget before every

@@ -4,10 +4,15 @@
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-let contains_sub sub s =
+(* offset of the first occurrence of [sub] in [s] *)
+let find_sub sub s =
   let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  m = 0 || go 0
+  let rec go i =
+    if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1)
+  in
+  go 0
+
+let contains_sub sub s = Option.is_some (find_sub sub s)
 
 (* ---- Table ---- *)
 
@@ -130,6 +135,26 @@ let test_summary_lines () =
      core rows appear *)
   check_int "six core summary rows" 6 (List.length lines)
 
+(* the campaign's section headers, in the order [report] renders them *)
+let core_headers = [ "Table 1:"; "Figure 9:"; "Figure 10:" ]
+let ablation_headers = [ "Table 2:"; "Table 3:"; "Figure 11:"; "Figure 12:" ]
+
+(* where [report] renders each header; [None] when it is absent *)
+let header_offsets runs = List.map (fun h -> find_sub h (Stagg_report.Experiments.report runs))
+let in_order offsets = List.for_all Option.is_some offsets && List.sort compare offsets = offsets
+
+let test_report_core () =
+  let runs = synthetic_runs () in
+  check_bool "Table 1, Figures 9-10 in order" true (in_order (header_offsets runs core_headers));
+  check_bool "no ablation header" true
+    (List.for_all Option.is_none (header_offsets runs ablation_headers))
+
+let test_report_ablations () =
+  let runs = synthetic_runs () in
+  let drops = List.map (fun c -> (c, runs.td)) Stagg_search.Penalty.all_topdown in
+  check_bool "all seven headers in campaign order" true
+    (in_order (header_offsets { runs with td_drops = drops } (core_headers @ ablation_headers)))
+
 let () =
   Alcotest.run "stagg_report"
     [
@@ -148,5 +173,7 @@ let () =
           Alcotest.test_case "table1 slicing" `Quick test_table1_slicing;
           Alcotest.test_case "fig10" `Quick test_fig10_shape;
           Alcotest.test_case "summary" `Quick test_summary_lines;
+          Alcotest.test_case "report core" `Quick test_report_core;
+          Alcotest.test_case "report with ablations" `Quick test_report_ablations;
         ] );
     ]

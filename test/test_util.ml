@@ -339,23 +339,6 @@ let test_pool_map_reduce () =
   in
   check_string "ordered reduce" "12345" cat
 
-(* ---- Fpset ---- *)
-
-let test_fpset_check_add () =
-  let s = Fpset.create () in
-  check_bool "absent before add" false (Fpset.mem s 42);
-  check_bool "first check_add reports absent" false (Fpset.check_add s 42);
-  check_bool "present after add" true (Fpset.mem s 42);
-  check_bool "second check_add reports present" true (Fpset.check_add s 42);
-  for i = 0 to 99 do
-    ignore (Fpset.check_add s (i * 7919))
-  done;
-  let missing = ref 0 in
-  for i = 0 to 99 do
-    if not (Fpset.mem s (i * 7919)) then incr missing
-  done;
-  check_int "all members retained" 0 !missing
-
 (* ---- Lru ---- *)
 
 let test_lru_basic () =
@@ -511,7 +494,6 @@ let () =
           Alcotest.test_case "replace and remove" `Quick test_lru_replace_and_remove;
           qc qcheck_lru_model;
         ] );
-      ("fpset", [ Alcotest.test_case "check_add semantics" `Quick test_fpset_check_add ]);
       ( "prng",
         [
           Alcotest.test_case "determinism" `Quick test_prng_determinism;
